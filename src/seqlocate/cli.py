@@ -184,12 +184,12 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = experiments.ExperimentConfig.from_json_file(args.config)
-    if args.threads is not None:
-        cfg.threads = args.threads
-    else:
-        env = os.environ.get(THREADS_ENV_VAR)
-        if env:
-            cfg.threads = int(env)
+    threads = args.threads
+    if threads is None and os.environ.get(THREADS_ENV_VAR):
+        threads = int(os.environ[THREADS_ENV_VAR])
+    if threads is not None:
+        # replace() re-runs the config's validation on the overridden count.
+        cfg = dataclasses.replace(cfg, threads=threads)
     result = experiments.run_experiment(cfg)
     _emit(result)
     return 0

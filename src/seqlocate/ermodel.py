@@ -105,10 +105,13 @@ def er_parameters(n: int, p: float, force_i: int | None = None) -> ErParameters:
     else:
         c = delta ** (i + 1) / n
         mass_near = 1.0 - math.exp(-c) - delta**i / n  # level i+1
+        # exp(-c) underflows to 0 once c > ~745 (e.g. n=122083, p=0.078125):
+        # level i+2 is then empty to double precision, and the split below
+        # stays well defined with a zero far mass.
         mass_far = math.exp(-c)  # level i+2
-        if mass_near <= 0.0 or mass_far <= 0.0:
+        if mass_near <= 0.0:
             # Reachable only through force_i: the chosen index puts more
-            # than all the mass below level i+1, or exp(-c) underflows.
+            # than all the mass below level i+1.
             raise ValueError(
                 f"level index i={i} gives a degenerate mass split at "
                 f"n={n}, p={p}; the two-level decay model does not apply"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import DisconnectedGraphError, DistanceMatrix, Graph, distance_matrix, matrix_is_connected
-from .localization import CapExceededError, QuerySet
+from .localization import CapExceededError, QuerySet, _cell_counts, _column_blocks, _label_table
 
 _P1_KINDS = ("max-gain", "exact-minimax", "fixed-sequence")
 _ADV_KINDS = ("fixed-target", "greedy-max-cell", "exact-minimax")
@@ -159,27 +159,31 @@ class _LabelGameEngine:
         self.labels = labels
         self.nq, self.nt = labels.shape
         self._cells: list[dict[int, int]] | None = None
+        self._table: np.ndarray | None = None
+        self._width = 0
         self._value_memo: dict[int, int] = {}
         self._worst_memo: dict[int, int] = {}
 
     # ---- array path -------------------------------------------------
 
-    def reducer_score(self, t: np.ndarray, w: int) -> int:
-        counts = np.bincount(self.labels[w, t])
-        return int(counts.max())
+    def best_reducer(self, t: np.ndarray, pool: np.ndarray) -> tuple[int, int]:
+        """argmin of the largest cell of ``t`` over the queries where the
+        boolean mask ``pool`` is set, lowest index on ties.
 
-    def best_reducer(self, t: np.ndarray, pool) -> tuple[int, int]:
-        """argmin of reducer score over the pool, lowest index on ties."""
-        best_w = -1
-        best_s = t.size + 1
-        for w in pool:
-            s = self.reducer_score(t, int(w))
-            if s < best_s:
-                best_s = s
-                best_w = int(w)
-        if best_w < 0:
+        Scores every query in blocks with the refinement kernel, with ``t``
+        as a single class.
+        """
+        if not pool.any():
             raise ValueError("empty query pool")
-        return best_w, best_s
+        if self._table is None:
+            self._table, self._width = _label_table(self.labels)
+        scores = np.empty(self.nq, dtype=np.int64)
+        for c0, c1 in _column_blocks(self.nq, t.size, self._width):
+            _, counts = _cell_counts(self._table, t, None, self._width, c0, c1)
+            scores[c0:c1] = counts.reshape(c1 - c0, self._width).max(axis=1)
+        scores[~pool] = t.size + 1
+        best_w = int(np.argmin(scores))
+        return best_w, int(scores[best_w])
 
     def greedy_answer(self, t: np.ndarray, w: int) -> int:
         """Label of the largest cell of t under query w; smallest on ties."""
@@ -361,12 +365,11 @@ def _play_on_labels(
     if cap < 1:
         raise ValueError(f"step cap must be >= 1, got {step_cap}")
     t = np.arange(nt)
-    queried: set[int] = set()
+    unqueried = np.ones(nq, dtype=bool)
     transcript = Transcript(initial_candidates=nt)
     while t.size > 1 and len(transcript.steps) < cap:
         if p1.kind == "max-gain":
-            pool = [w for w in range(nq) if w not in queried]
-            w, _ = engine.best_reducer(t, pool)
+            w, _ = engine.best_reducer(t, unqueried)
         elif p1.kind == "exact-minimax":
             w = engine.exact_p1_choice(engine.mask_of(t))
         else:
@@ -382,7 +385,7 @@ def _play_on_labels(
         t = engine.restrict(t, w, l)
         if t.size == 0:  # pragma: no cover - answers are always consistent
             raise RuntimeError("inconsistent answer emptied the candidate set")
-        queried.add(int(w))
+        unqueried[w] = False
         transcript.steps.append(
             TranscriptStep(step=len(transcript.steps) + 1, query=int(w), answer=int(l), candidates=int(t.size))
         )

@@ -181,7 +181,25 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
 
 
 def is_connected(g: Graph) -> bool:
-    return bool((bfs_distances(g, 0) != UNREACHABLE).all())
+    """True iff every node is reachable from node 0.
+
+    Frontier BFS over the arc arrays: each level gathers the frontier flag
+    of every arc's tail and marks the heads it reaches.  ``bfs_distances``
+    is the reference it is tested against.
+    """
+    heads = np.concatenate(g.adj)
+    tails = np.repeat(np.arange(g.n, dtype=np.int32), np.fromiter(map(len, g.adj), np.intp, g.n))
+    seen = np.zeros(g.n, dtype=bool)
+    seen[0] = True
+    frontier = seen
+    while not seen.all():
+        reached = np.zeros(g.n, dtype=bool)
+        reached[heads[frontier[tails]]] = True
+        frontier = reached & ~seen
+        if not frontier.any():
+            return False
+        seen |= frontier
+    return True
 
 
 def matrix_is_connected(dm: DistanceMatrix) -> bool:

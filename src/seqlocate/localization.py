@@ -156,6 +156,85 @@ def md_exact(g: Graph, cap: int | None = None) -> tuple[int, QuerySet]:
     return size, QuerySet(witness)
 
 
+# Element budget of one scoring block (targets x query columns).  Each block
+# holds an int64 key array and an int64 cell-size array of this many entries,
+# so scoring memory stays fixed whatever the table size.
+_BLOCK_ELEMENTS = 1 << 18
+
+
+def _label_table(labels: np.ndarray) -> tuple[np.ndarray, int]:
+    """The table transposed to (targets, queries) in the smallest unsigned
+    dtype that holds every label, and the label width (largest label + 1).
+
+    Rows are targets, so gathering the active targets reads whole rows.
+    """
+    if labels.size and labels.min() < 0:
+        raise ValueError("labels must be nonnegative")
+    width = int(labels.max()) + 1 if labels.size else 1
+    return labels.astype(np.min_scalar_type(width - 1)).T.copy(), width
+
+
+def _column_blocks(n_queries: int, n_rows: int, cells: int):
+    """Consecutive (c0, c1) query ranges whose key and count arrays fit the budget."""
+    step = max(1, _BLOCK_ELEMENTS // max(n_rows, cells))
+    for c0 in range(0, n_queries, step):
+        yield c0, min(c0 + step, n_queries)
+
+
+def _cell_counts(
+    table: np.ndarray, rows: np.ndarray, base: np.ndarray | None, cells: int, c0: int, c1: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cell sizes of the partition of ``rows`` under query columns c0..c1-1.
+
+    The partition scored is the current class partition refined by one
+    query: ``base[i]`` is ``class_rank * width`` for target ``rows[i]``
+    (None when ``rows`` is one class) and ``cells`` is the number of
+    (class, label) cells per query.  Returns ``keys``, whose entry (i, j) is
+    the flat cell of ``rows[i]`` under query ``c0 + j``, and ``counts``, the
+    size of every flat cell, one ``cells``-long run per query.
+    """
+    keys = np.add(table[rows, c0:c1], np.arange(0, (c1 - c0) * cells, cells))
+    if base is not None:
+        keys += base[:, None]
+    return keys, np.bincount(keys.ravel(), minlength=(c1 - c0) * cells)
+
+
+def _best_refinement(
+    table: np.ndarray, rows: np.ndarray, base: np.ndarray, cells: int
+) -> tuple[int, int]:
+    """The query leaving the fewest unresolved pairs among ``rows``.
+
+    Ties go to the smaller worst cell, then to the lower query index.  The
+    table needs at least one query.  Returns (query, unresolved pairs).
+    The unresolved pairs of a query are (sum of squared cell sizes -
+    |rows|) / 2.  The sum of squares runs over the cells or, when there
+    are more cells than targets, over the targets, each adding the size of
+    its cell.  The worst cell is computed only for the queries tied on the
+    fewest unresolved pairs.
+    """
+    best: tuple[int, int, int] | None = None
+    for c0, c1 in _column_blocks(table.shape[1], rows.size, cells):
+        keys, counts = _cell_counts(table, rows, base, cells, c0, c1)
+        counts = counts.reshape(c1 - c0, cells)
+        if cells <= rows.size:  # sum over the cells, which are the fewer
+            sizes = None
+            squares = (counts * counts).sum(axis=1)
+        else:  # sum over the targets: each adds the size of its cell
+            sizes = np.take(counts, keys)
+            squares = sizes.sum(axis=0)
+        unresolved = (squares - rows.size) // 2
+        low = int(unresolved.min())
+        if best is not None and low > best[0]:
+            continue
+        tied = np.flatnonzero(unresolved == low)
+        worst = counts[tied].max(axis=1) if sizes is None else sizes[:, tied].max(axis=0)
+        j = int(np.argmin(worst))
+        score = (low, int(worst[j]), c0 + int(tied[j]))
+        if best is None or score < best:
+            best = score
+    return best[2], best[0]
+
+
 def _greedy_refinement(labels: np.ndarray) -> list[int]:
     """Greedy query selection by partition refinement.
 
@@ -163,49 +242,33 @@ def _greedy_refinement(labels: np.ndarray) -> list[int]:
     the chosen queries.  Each round picks the query minimizing the number
     of still-unseparated pairs, breaking ties by smaller worst-class size
     and then by lower query index.  Targets in singleton classes drop out.
+    A chosen query is constant on every class, so it separates nothing and
+    is never chosen again: the round raises first.
     """
     n_queries, n_targets = labels.shape
+    table, width = _label_table(labels)
     active = np.arange(n_targets)
-    class_of = np.zeros(n_targets, dtype=np.int64)
+    rank = np.zeros(n_targets, dtype=np.int64)  # dense class rank, aligned with active
+    n_classes = 1
     chosen: list[int] = []
-    chosen_set: set[int] = set()
-    width = int(labels.max()) + 1 if labels.size else 1
     while active.size:
-        best = None
-        for w in range(n_queries):
-            if w in chosen_set:
-                continue
-            keys = class_of[active] * width + labels[w, active]
-            counts = np.bincount(keys)
-            counts = counts[counts > 1]
-            if counts.size:
-                unresolved = int((counts * (counts - 1) // 2).sum())
-                worst = int(counts.max())
-            else:
-                unresolved = 0
-                worst = 1
-            score = (unresolved, worst, w)
-            if best is None or score < best:
-                best = score
-        if best is None:  # every query used and pairs remain: not separable
+        if not n_queries:
             raise ValueError("targets are not separable by the given queries")
-        unresolved, _, w = best
-        total_pairs_before = _unresolved_pairs(class_of, active)
-        if unresolved >= total_pairs_before:
+        w, unresolved = _best_refinement(table, active, rank * width, n_classes * width)
+        if unresolved >= _unresolved_pairs(rank):
             raise ValueError("targets are not separable by the given queries")
         chosen.append(w)
-        chosen_set.add(w)
-        keys = class_of[active] * width + labels[w, active]
+        keys = rank * width + table[active, w]
         _, new_ids, counts = np.unique(keys, return_inverse=True, return_counts=True)
-        class_of[active] = new_ids
-        active = active[counts[new_ids] > 1]
+        keep = counts[new_ids] > 1
+        active = active[keep]
+        _, rank = np.unique(new_ids[keep], return_inverse=True)
+        n_classes = int(rank.max()) + 1 if rank.size else 0
     return chosen
 
 
-def _unresolved_pairs(class_of: np.ndarray, active: np.ndarray) -> int:
-    if not active.size:
-        return 0
-    _, counts = np.unique(class_of[active], return_counts=True)
+def _unresolved_pairs(rank: np.ndarray) -> int:
+    counts = np.bincount(rank)
     return int((counts * (counts - 1) // 2).sum())
 
 

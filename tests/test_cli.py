@@ -265,6 +265,28 @@ class TestSweep:
         assert code == 0
         assert baseline.read_bytes() == expected  # thread count never changes results
 
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_threads_flag_below_one_usage_error(self, capsys, tmp_path, threads):
+        cfg = self.write_config(tmp_path)
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--threads", threads)
+        assert code == 2
+        assert "threads must be >= 1" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_threads_env_below_one_usage_error(self, capsys, tmp_path, monkeypatch):
+        cfg = self.write_config(tmp_path)
+        monkeypatch.setenv("SEQLOCATE_THREADS", "0")
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert "threads must be >= 1" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_threads_flag_wins_over_env(self, capsys, tmp_path, monkeypatch):
+        cfg = self.write_config(tmp_path)
+        monkeypatch.setenv("SEQLOCATE_THREADS", "0")
+        code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--threads", "2")
+        assert code == 0
+
     def test_missing_config_usage_error(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "sweep", "--config", str(tmp_path / "nope.json"))
         assert code == 2

@@ -113,6 +113,19 @@ class TestBoundPrediction:
         with pytest.raises(ValueError):
             bound_prediction(er_parameters(100, 0.95))
 
+    def test_underflowed_far_mass_inside_window(self):
+        # c = delta**2 / n is about 745 here, so exp(-c) underflows to 0:
+        # level i+2 is empty and the near level carries the rest.
+        par = er_parameters(122083, 0.078125)
+        assert par.regime_valid and par.i == 1
+        assert par.gamma_smd == par.gamma_md == pytest.approx(1.0 - 0.078125)
+        b = bound_prediction(par)
+        assert b.smd_lower <= b.smd_upper <= b.md_value
+        assert b.f_gamma == 1.0
+        fractions = predicted_level_fractions(par)
+        assert fractions[3] == 0.0
+        assert sum(fractions.values()) == pytest.approx(1.0, abs=1e-12)
+
     def test_lower_never_exceeds_upper(self):
         for n in (100, 500, 1000, 4096, 20000):
             for p in (0.05, 0.1, 0.3, 0.5, 0.693, 0.7):

@@ -150,6 +150,37 @@ class TestLevelsAndDiameter:
         assert is_connected(cycle_graph(5))
         assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            pytest.param(Graph(1, []), id="single-node"),
+            pytest.param(Graph(2, []), id="edgeless-2"),
+            pytest.param(Graph(6, []), id="edgeless-6"),
+            pytest.param(Graph(4, [(0, 1), (2, 3)]), id="two-components"),
+            pytest.param(Graph(5, [(1, 2), (2, 3), (3, 4)]), id="isolated-source"),
+            pytest.param(Graph(5, [(0, 1), (1, 2), (2, 3)]), id="isolated-last"),
+            pytest.param(path_graph(40), id="path-40"),
+            pytest.param(cycle_graph(41), id="cycle-41"),
+            pytest.param(complete_graph(9), id="complete-9"),
+        ]
+        + [
+            pytest.param(sample_gnp(n, p, seed), id=f"gnp-{n}-{p}-{seed}")
+            for n, p in ((30, 0.12), (60, 0.07), (200, 0.027), (100, 0.3), (300, 0.5))
+            for seed in range(4)
+        ],
+    )
+    def test_is_connected_matches_bfs(self, g):
+        assert is_connected(g) == bool((bfs_distances(g, 0) != UNREACHABLE).all())
+
+    def test_is_connected_sparse_samples_have_both_answers(self):
+        # The sparse samples sit near the connectivity threshold ln(n)/n.
+        answers = {
+            is_connected(sample_gnp(n, p, seed))
+            for n, p in ((30, 0.12), (60, 0.07), (200, 0.027))
+            for seed in range(4)
+        }
+        assert answers == {True, False}
+
 
 class TestEdgeListFormat:
     def test_round_trip(self):
