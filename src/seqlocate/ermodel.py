@@ -77,7 +77,11 @@ def er_parameters(n: int, p: float, force_i: int | None = None) -> ErParameters:
 
     ``force_i`` overrides the regime-index rule (largest i with
     delta**i <= n/ln(n)); use it to probe boundary cases where the
-    finite-n rule and the asymptotic order-of-growth rule disagree.
+    finite-n rule and the asymptotic order-of-growth rule disagree.  An
+    index whose mass split is degenerate (no mass left for level i+1)
+    raises ValueError when forced.  The natural index meets such splits
+    just above mean degree 1; there the parameters come back with
+    ``regime_valid`` false.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
@@ -95,7 +99,12 @@ def er_parameters(n: int, p: float, force_i: int | None = None) -> ErParameters:
         # vacuous and the regime gate below fails anyway.
         i = 0
     else:
-        i = 0
+        # Start from the logarithm and settle on the exact float rule: just
+        # above delta = 1 the index runs to the hundreds (n=50, p=0.0202
+        # gives 256) and, one ulp above, to ~1e16, too far to count up to.
+        i = max(int(math.log(threshold) / math.log(delta)), 0)
+        while i > 0 and delta**i > threshold:
+            i -= 1
         while delta ** (i + 1) <= threshold:
             i += 1
     if i == 0:
@@ -109,18 +118,26 @@ def er_parameters(n: int, p: float, force_i: int | None = None) -> ErParameters:
         # level i+2 is then empty to double precision, and the split below
         # stays well defined with a zero far mass.
         mass_far = math.exp(-c)  # level i+2
-        if mass_near <= 0.0:
-            # Reachable only through force_i: the chosen index puts more
-            # than all the mass below level i+1.
-            raise ValueError(
-                f"level index i={i} gives a degenerate mass split at "
-                f"n={n}, p={p}; the two-level decay model does not apply"
-            )
+    # A nonpositive near mass means the index puts more than all the mass
+    # below level i+1: the two-level decay model does not apply.
+    degenerate = mass_near <= 0.0
+    if degenerate and force_i is not None:
+        raise ValueError(
+            f"level index i={i} gives a degenerate mass split at "
+            f"n={n}, p={p}; the two-level decay model does not apply"
+        )
+    if degenerate:
+        # The natural index gets here just above the critical mean degree
+        # (e.g. n=50, p=0.0202): report the parameters with the near mass
+        # at zero, outside the analysis window.  There c > 1/ln(n) and
+        # exp(-c) >= 1 - delta**i/n >= 1 - 1/ln(n) > 0, so the far mass
+        # lies in (0, 1) and eta is finite.
+        mass_near = 0.0
     gamma_smd = max(mass_near, mass_far)
     gamma_md = math.hypot(mass_near, mass_far)
     eta = 1.0 + math.log(math.log(1.0 / gamma_smd)) / ln_n
     zeta = max(math.sqrt(ln_n / delta), delta**i / n)
-    regime_valid = delta > ln_n and (1.0 - p) > 1.0 / math.sqrt(n)
+    regime_valid = not degenerate and delta > ln_n and (1.0 - p) > 1.0 / math.sqrt(n)
     regime_relaxed = regime_valid and not delta > ln_n**5
     return ErParameters(
         n=n,

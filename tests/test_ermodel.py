@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -77,6 +78,32 @@ class TestParameterDerivation:
         assert not er_parameters(100, 0.01).regime_valid
         # 1 - p too small
         assert not er_parameters(100, 0.95).regime_valid
+
+    def test_near_critical_degree_is_outside_window(self):
+        # Just above mean degree 1 the natural index runs to i=256 and puts
+        # more than all the mass below level i+1; that is no valid window,
+        # not an error.
+        par = er_parameters(50, 0.0202)
+        assert par.i == 256
+        assert not par.regime_valid and not par.regime_relaxed
+        assert 0.0 < par.gamma_smd == par.gamma_md < 1.0
+        assert math.isfinite(par.eta)
+
+    def test_one_ulp_above_critical_degree_returns(self):
+        # delta = 1 + 2**-52: the index is about 1e16, found without
+        # counting up to it.
+        par = er_parameters(50, math.nextafter(0.02, 1.0))
+        assert par.delta > 1.0
+        assert par.delta**par.i <= 50 / math.log(50) < par.delta ** (par.i + 1)
+        assert not par.regime_valid
+
+    def test_natural_index_never_raises_on_grid(self):
+        # A coarse log grid over test_bound_chain_property's range; it holds
+        # near-critical points where the mass split degenerates.
+        for n in np.unique(np.geomspace(50, 200_000, 40).astype(int)):
+            for p in np.geomspace(1e-4, 0.999, 40):
+                par = er_parameters(int(n), float(p))
+                assert math.isfinite(par.eta) and 0.0 < par.gamma_smd < 1.0
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -202,6 +229,21 @@ class TestSampling:
 
     def test_dense_sample_connected(self):
         assert is_connected(sample_gnp(100, 0.3, 5))
+
+    @pytest.mark.parametrize(
+        "n, p, seed, digest",
+        [
+            (200, 0.05, 42, "8369002d35ee666cd09159420be9a657a90741f2819bdf0be631cab6ba10c0fa"),
+            (2000, 0.3, 7, "b70d41feb474b0d1b980fd98e013ef8498f17c873cfe27f96e9d5d9a94953231"),
+            (500, 0.01, 3, "1be647de08017bfb886520a17091d77b319cf17555ebfe48e900c7d78976dbab"),
+        ],
+    )
+    def test_sample_pinned(self, n, p, seed, digest):
+        # The sampler's random stream and pair decoding are fixed: a seed
+        # names one graph across versions, which sweep CSVs rely on.
+        g = sample_gnp(n, p, seed)
+        text = ";".join(f"{u},{v}" for u, v in g.edges())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ from seqlocate import (
     sample_gnp,
     write_edge_list,
 )
+from seqlocate import graphs
 
 
 def floyd_warshall(g: Graph) -> np.ndarray:
@@ -39,11 +40,55 @@ def floyd_warshall(g: Graph) -> np.ndarray:
     return np.array([[UNREACHABLE if x == inf else int(x) for x in row] for row in d])
 
 
+@pytest.fixture(params=["default", "budget-1"])
+def block_budget(request, monkeypatch):
+    """Run the multi-source BFS at its own block budget, and at one word,
+    where every block holds a single node, with first passes of one arc,
+    so that a node's arc list spans several passes per level."""
+    if request.param == "budget-1":
+        monkeypatch.setattr(graphs, "_BLOCK_WORDS", 1)
+        monkeypatch.setattr(graphs, "_FIRST_RUN", 1)
+    return request.param
+
+
+def assert_csr(g: Graph) -> None:
+    assert g.indptr.shape == (g.n + 1,)
+    assert g.indptr[0] == 0 and g.indptr[-1] == g.indices.size
+    assert (np.diff(g.indptr) >= 0).all()
+    assert g.indices.dtype == np.int32
+    for v in range(g.n):
+        row = g.indices[g.indptr[v]:g.indptr[v + 1]]
+        assert (np.diff(row) > 0).all()
+        assert np.array_equal(g.adj[v], row)
+        assert np.shares_memory(g.adj[v], g.indices) or row.size == 0
+    assert g.num_edges == g.indices.size // 2
+
+
 class TestConstruction:
     def test_adjacency_sorted_and_symmetric(self):
         g = Graph(4, [(2, 1), (0, 3), (1, 0)])
         assert [a.tolist() for a in g.adj] == [[1, 3], [0, 2], [1], [0]]
         assert g.num_edges == 3
+        assert g.indptr.tolist() == [0, 2, 4, 5, 6]
+        assert g.indices.tolist() == [1, 3, 0, 2, 1, 0]
+
+    @pytest.mark.parametrize(
+        "n, p, seed", [(1, 0.5, 0), (2, 1.0, 0), (9, 0.0, 0), (30, 0.2, 1), (120, 0.05, 2), (200, 0.6, 3)]
+    )
+    def test_csr_invariants_from_shuffled_edges(self, n, p, seed):
+        ref = sample_gnp(n, p, seed)
+        assert_csr(ref)
+        rng = np.random.default_rng(seed)
+        edges = np.array(ref.edges(), dtype=np.int64).reshape(-1, 2)
+        edges = edges[rng.permutation(len(edges))]
+        flip = rng.random(len(edges)) < 0.5
+        edges[flip] = edges[flip, ::-1]
+        for g in (Graph(n, edges.tolist()), Graph.from_edge_arrays(n, edges[:, 0], edges[:, 1])):
+            assert_csr(g)
+            assert g.num_edges == len(edges)
+            assert np.array_equal(g.indptr, ref.indptr)
+            assert np.array_equal(g.indices, ref.indices)
+            assert g.edges() == ref.edges()
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -89,11 +134,47 @@ class TestDistances:
             bfs_distances(path_graph(3), 3)
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_engine_matches_plain_bfs(self, seed):
+    def test_engine_matches_plain_bfs(self, seed, block_budget):
+        # p runs from 0.04 (disconnected, isolated nodes) to 0.26.
         g = sample_gnp(50, 0.04 + 0.02 * seed, 100 + seed)
         dm = distance_matrix(g)
-        for v in (0, 17, 49):
+        for v in range(50):
             assert (dm.d[v] == bfs_distances(g, v)).all()
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            pytest.param(Graph(1, []), id="single-node"),
+            pytest.param(Graph(9, [(1, 2), (2, 3), (5, 6)]), id="isolated-nodes"),
+            pytest.param(path_graph(66), id="path-66"),
+            pytest.param(cycle_graph(67), id="cycle-67"),
+        ]
+        + [
+            pytest.param(sample_gnp(n, p, seed), id=f"gnp-{n}-{p}-{seed}")
+            for n, p, seed in (
+                (7, 0.3, 1),
+                (70, 0.01, 2),
+                (70, 0.05, 3),
+                (130, 0.02, 4),
+                (130, 0.1, 5),
+                (130, 0.5, 8),
+                (200, 0.006, 6),
+                (300, 0.03, 7),
+            )
+        ],
+    )
+    def test_source_subsets_match_plain_bfs(self, g, block_budget):
+        # Unsorted sources, one to three words of lanes, then every node in
+        # order and reversed; lane order must follow the caller's order.
+        ref = np.array([bfs_distances(g, v) for v in range(g.n)])
+        rng = np.random.default_rng(g.n)
+        subsets = [rng.permutation(g.n)[:k] for k in (1, 63, 64, 65, 128) if k <= g.n]
+        subsets += [np.arange(g.n), np.arange(g.n)[::-1]]
+        for sources in subsets:
+            got = distances_from_sources(g, sources)
+            assert got.shape == (len(sources), g.n)
+            assert got.dtype == np.int32 and got.flags.c_contiguous
+            assert (got == ref[sources]).all()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_engine_matches_floyd_warshall(self, seed):
