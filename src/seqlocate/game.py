@@ -25,7 +25,7 @@ from .localization import CapExceededError, QuerySet, _cell_counts, _column_bloc
 _P1_KINDS = ("max-gain", "exact-minimax", "fixed-sequence")
 _ADV_KINDS = ("fixed-target", "greedy-max-cell", "exact-minimax")
 
-# Exact minimax state is memoized on candidate bitsets, one bit per target.
+# The exact search memoizes bounds on candidate bitsets, one bit per target.
 _BITSET_LIMIT = 64
 
 
@@ -148,8 +148,8 @@ class _LabelGameEngine:
 
     The array path (candidate index arrays, bincount scoring) scales to
     thousands of targets and drives played games.  The bitset path encodes
-    candidate sets as ints for memoized exact minimax, and is limited to
-    64 targets.
+    candidate sets as ints for the exact game value, a bounded decision
+    search seeded by the MAX-GAIN worst case, and is limited to 64 targets.
     """
 
     def __init__(self, labels: np.ndarray) -> None:
@@ -161,8 +161,11 @@ class _LabelGameEngine:
         self._cells: list[dict[int, int]] | None = None
         self._table: np.ndarray | None = None
         self._width = 0
-        self._value_memo: dict[int, int] = {}
         self._worst_memo: dict[int, int] = {}
+        self._lo: dict[int, int] = {}  # proven lower bounds of the game value
+        self._hi: dict[int, int] = {}  # proven upper bounds of the game value
+        self._search: tuple[list[tuple[int, ...]], list[int], list[int]] | None = None
+        self.expanded = 0  # masks whose queries the decision search scored
 
     # ---- array path -------------------------------------------------
 
@@ -227,57 +230,159 @@ class _LabelGameEngine:
                 out.append(cell)
         return out
 
-    def minimax_value(self, mask: int | None = None) -> int:
-        """Game value with both sides optimal, memoized on candidate bitsets.
+    def _search_tables(self) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+        """Cell masks per query and the counting-bound tables of the search.
 
-        Queries whose partition leaves the candidate set whole are skipped;
-        they can never be optimal.  A splitting query always exists here
-        (any candidate separates itself in the graph game, and matrix
-        callers pre-check column distinctness), so the recursion is
-        well-founded.
+        With k the most cells any query makes, ``reach[e]`` = k**e is the
+        most candidates that e queries can tell apart, and ``need[s]`` is
+        the fewest queries that can resolve s candidates, the least e with
+        k**e >= s.
+        """
+        if self._search is None:
+            cell_lists = [tuple(d.values()) for d in self.cell_bitmasks()]
+            k = max(len(c) for c in cell_lists)
+            reach = [k**e for e in range(self.nt + 1)]
+            need = [0] * (self.nt + 1)
+            e = 0
+            for s in range(2, self.nt + 1):
+                while reach[e] < s:
+                    e += 1
+                need[s] = e
+            self._search = cell_lists, reach, need
+        return self._search
+
+    def solve(self, mask: int, d: int) -> bool:
+        """Can player 1 resolve the candidates in ``mask`` within d queries?
+
+        A decision search over candidate bitsets.  It memoizes a proven
+        lower and upper bound on the game value of each mask it settles,
+        so later tests at other depths reuse them.  A mask fails at once
+        when k**d is below its size (k: the most cells any query makes),
+        or when a packing of candidates that no query removes two at a
+        time is more than d + 1 large; a query is skipped when one of its
+        cells exceeds k**(d-1).  Queries are tried smallest largest cell
+        first (MAX-GAIN order), their cells largest first.  A failure
+        stores the lower bound 1 + min over queries of the largest lower
+        bound among the query's cells; a success stores 1 + the largest
+        upper bound among the cells of the query that passed.
+        """
+        cell_lists, reach, need = self._search_tables()
+        lo_memo, hi_memo = self._lo, self._hi
+        top = self.nt
+
+        def lower(m: int) -> int:
+            a = need[m.bit_count()]
+            b = lo_memo.get(m, 0)
+            return a if a > b else b
+
+        def test(m: int, d: int) -> bool:
+            if m & (m - 1) == 0:
+                return d >= 0
+            if lo_memo.get(m, 0) > d:
+                return False
+            if hi_memo.get(m, d + 1) <= d:
+                return True
+            size = m.bit_count()
+            if need[size] > d:
+                return False
+            self.expanded += 1
+            limit = reach[d - 1 if d <= top else top]
+            scored = []
+            removed = []  # per query, the candidates outside its largest cell
+            for w, cms in enumerate(cell_lists):
+                cells = []
+                big = 0
+                for cm in cms:
+                    c = m & cm
+                    if c:
+                        s = c.bit_count()
+                        if s == size:
+                            break
+                        cells.append(c)
+                        if s > big:
+                            big = s
+                            big_cell = c
+                else:
+                    scored.append((big, w, cells))
+                    removed.append(m ^ big_cell)
+            if not scored:
+                raise ValueError("candidate set admits no splitting query")
+            # Packing bound: gather candidates no two of which any query
+            # removes together.  Against the adversary that answers each
+            # query's largest cell in m, every one of them but the last
+            # left needs a query of its own.
+            packed = 0
+            rest = m
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                packed += 1
+                for r in removed:
+                    if r & low:
+                        rest &= ~r
+            if packed - 1 > d:
+                lo_memo[m] = packed - 1
+                return False
+            scored.sort()
+            best = top + 1  # least lower bound over the queries tried
+            for big, _, cells in scored:
+                if big > limit:
+                    # This and every later query has a cell over the
+                    # counting bound; only their lower bounds are left.
+                    if need[big] >= best:
+                        break
+                    bound = max(map(lower, cells))
+                    if bound < best:
+                        best = bound
+                    continue
+                cells.sort(key=int.bit_count, reverse=True)
+                for i, c in enumerate(cells):
+                    if c & (c - 1) == 0 or hi_memo.get(c, d) < d:
+                        continue  # already proven within d - 1
+                    if lo_memo.get(c, 0) >= d or not test(c, d - 1):
+                        # Later cells are no larger, so only their memo
+                        # can raise the bound above this cell's.
+                        bound = lower(c)
+                        for x in cells[i + 1 :]:
+                            b = lo_memo.get(x, 0)
+                            if b > bound:
+                                bound = b
+                        if bound < best:
+                            best = bound
+                        break
+                else:
+                    hi_memo[m] = 1 + max(hi_memo.get(c, 0) for c in cells)
+                    return True
+            lo_memo[m] = 1 + best
+            return False
+
+        return test(mask, d)
+
+    def game_value(self, mask: int | None = None) -> int:
+        """Game value with both sides optimal.
+
+        The MAX-GAIN worst case u is an upper bound; ``solve`` then tests
+        u-1, u-2, ... (skipping to below each proven upper bound) until a
+        test fails, and the value is one more than the failed depth.
         """
         if mask is None:
             mask = self.full_mask
-        memo = self._value_memo
-
-        def value(m: int) -> int:
-            if m & (m - 1) == 0:
-                return 0
-            cached = memo.get(m)
-            if cached is not None:
-                return cached
-            best: int | None = None
-            for w in range(self.nq):
-                cells = self._split(m, w)
-                if cells is None:
-                    continue
-                worst = 0
-                for cell in cells:
-                    v = value(cell) + 1
-                    if v > worst:
-                        worst = v
-                    if best is not None and worst >= best:
-                        break
-                if best is None or worst < best:
-                    best = worst
-                if best == 1:
-                    break
-            if best is None:
-                raise ValueError("candidate set admits no splitting query")
-            memo[m] = best
-            return best
-
-        return value(mask)
+        if mask & (mask - 1) == 0:
+            return 0
+        upper = self.maxgain_worst_value(mask)
+        if self._hi.get(mask, upper + 1) > upper:
+            self._hi[mask] = upper
+        d = self._hi[mask] - 1
+        while self.solve(mask, d):
+            d = min(d, self._hi[mask]) - 1
+        return d + 1
 
     def exact_p1_choice(self, mask: int) -> int:
         """Lowest-index query achieving the optimal game value from mask."""
-        target_value = self.minimax_value(mask)
+        value = self.game_value(mask)
         for w in range(self.nq):
             cells = self._split(mask, w)
-            if cells is None:
-                continue
-            worst = 1 + max(self.minimax_value(c) for c in cells)
-            if worst == target_value:
+            if cells is not None and all(self.solve(c, value - 1) for c in cells):
                 return w
         raise RuntimeError("no query achieves the computed value")  # pragma: no cover
 
@@ -289,7 +394,7 @@ class _LabelGameEngine:
             cell = mask & self.cell_bitmasks()[w][lab]
             if not cell:
                 continue
-            v = self.minimax_value(cell)
+            v = self.game_value(cell)
             if v > best_v:
                 best_v = v
                 best_l = lab
@@ -480,19 +585,20 @@ def play_game(
 def smd_exact(g: Graph, cap: int | None = None) -> int:
     """Sequential metric dimension: game value with both sides optimal.
 
-    Memoized minimax over candidate bitsets; meant for small graphs
-    (hard limit 64 nodes).  Raises CapExceededError when the value
-    exceeds ``cap``.
+    A bounded decision search over candidate bitsets that starts from the
+    MAX-GAIN worst case (see ``_LabelGameEngine.game_value``); hard limit
+    64 nodes.  With ``cap``, one test "resolvable within cap queries?"
+    runs first and CapExceededError is raised when it fails, so the cap
+    bounds the search work as well as the value.
     """
     dm = distance_matrix(g)
     _require_connected(dm)
     if g.n == 1:
         return 0
     engine = _LabelGameEngine(dm.d)
-    value = engine.minimax_value()
-    if cap is not None and value > cap:
-        raise CapExceededError(f"game value {value} exceeds cap {cap}")
-    return value
+    if cap is not None and not engine.solve(engine.full_mask, cap):
+        raise CapExceededError(f"game value exceeds cap {cap}")
+    return engine.game_value()
 
 
 def smd_maxgain_worstcase(g: Graph, cap: int | None = None) -> int:

@@ -11,7 +11,6 @@ the number of still-confusable node pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -92,18 +91,11 @@ def _pair_separation_masks(labels: np.ndarray) -> tuple[list[int], int]:
     ``t``.  Pair (x, y) with x < y gets one bit; query w separates it when
     labels[w, x] != labels[w, y].  Returns (masks, full_mask).
     """
-    n_targets = labels.shape[1]
-    pairs = list(combinations(range(n_targets), 2))
-    full = (1 << len(pairs)) - 1
-    masks = []
-    for w in range(labels.shape[0]):
-        row = labels[w]
-        m = 0
-        for k, (x, y) in enumerate(pairs):
-            if row[x] != row[y]:
-                m |= 1 << k
-        masks.append(m)
-    return masks, full
+    first, second = np.triu_indices(labels.shape[1], 1)  # pair order of combinations()
+    split = labels[:, first] != labels[:, second]
+    rows = np.packbits(split, axis=1, bitorder="little")
+    masks = [int.from_bytes(row.tobytes(), "little") for row in rows]
+    return masks, (1 << first.size) - 1
 
 
 def _min_separating_subset(
@@ -111,33 +103,53 @@ def _min_separating_subset(
 ) -> tuple[int, tuple[int, ...]] | None:
     """Smallest subset of queries whose separation masks cover ``full``.
 
-    Searches cardinalities 1..cap; within a cardinality, combinations are
-    tried in lexicographic order, so the first hit is the canonical
+    Searches cardinalities 1..cap.  Within a cardinality, a depth-first
+    search picks queries in index order, carrying the OR of the prefix,
+    and drops a prefix when even the union of every later mask cannot
+    complete it; the first hit is therefore the lexicographically first
     witness.  Returns None when even the union of all masks falls short
-    (separation is impossible), raises nothing itself.
+    (separation is impossible) or nothing fits within ``cap``; raises
+    nothing itself.
     """
-    union = 0
     useful = [w for w, m in enumerate(masks) if m]
-    for m in masks:
-        union |= m
-    if union != full:
+    picked = [masks[w] for w in useful]
+    # later[i]: union of the masks picked[i:]
+    later = [0] * (len(picked) + 1)
+    for i in range(len(picked) - 1, -1, -1):
+        later[i] = later[i + 1] | picked[i]
+    if later[0] != full:
         return None
-    for k in range(1, cap + 1):
-        for combo in combinations(useful, k):
-            acc = 0
-            for w in combo:
-                acc |= masks[w]
-            if acc == full:
-                return k, combo
+    chosen: list[int] = []
+
+    def extend(start: int, acc: int, left: int) -> bool:
+        """Complete ``chosen`` with ``left`` more queries from ``start`` on."""
+        for i in range(start, len(picked) - left + 1):
+            if acc | later[i] != full:
+                return False
+            covered = acc | picked[i]
+            if left == 1:
+                if covered == full:
+                    chosen.append(useful[i])
+                    return True
+            elif extend(i + 1, covered, left - 1):
+                chosen.append(useful[i])
+                return True
+        return False
+
+    for k in range(1, min(cap, len(picked)) + 1):
+        if extend(0, 0, k):
+            return k, tuple(reversed(chosen))
     return None
 
 
 def md_exact(g: Graph, cap: int | None = None) -> tuple[int, QuerySet]:
     """Exact metric dimension with a lexicographically-first witness.
 
-    Exhaustive search in increasing cardinality over query subsets, with a
-    pairwise-distinguishability table as the pruning structure.  Meant for
-    n up to around 20.  ``cap`` limits the cardinality searched; if no
+    Exhaustive search in increasing cardinality over query subsets: a
+    depth-first search over bitmasks of the node pairs each query tells
+    apart, pruned when the queries left cannot cover the pairs still
+    confused.  Its cost grows with C(n, MD); G(32, 0.3) takes tens of
+    milliseconds.  ``cap`` limits the cardinality searched; if no
     resolving set exists within it, CapExceededError is raised.
     """
     dm = distance_matrix(g)

@@ -168,15 +168,19 @@ def qc_greedy(a: BinaryMatrix) -> tuple[int, ...]:
 
 
 def sqc_exact(a: BinaryMatrix, cap: int | None = None) -> int:
-    """Adaptive game value on the matrix: bit queries, both sides optimal."""
+    """Adaptive game value on the matrix: bit queries, both sides optimal.
+
+    Same decision search as ``smd_exact``; with ``cap``, a failed test
+    "resolvable within cap queries?" raises CapExceededError before any
+    value is computed.
+    """
     _require_distinct(a)
     if a.n == 1:
         return 0
     engine = _LabelGameEngine(a.bits)
-    value = engine.minimax_value()
-    if cap is not None and value > cap:
-        raise CapExceededError(f"game value {value} exceeds cap {cap}")
-    return value
+    if cap is not None and not engine.solve(engine.full_mask, cap):
+        raise CapExceededError(f"game value exceeds cap {cap}")
+    return engine.game_value()
 
 
 def sqc_maxgain_worstcase(a: BinaryMatrix, cap: int | None = None) -> int:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from seqlocate import Graph
+from seqlocate import Graph, is_connected, sample_gnp
 
 ACCEPTANCE_RESULTS: list[str] = []
 
@@ -33,3 +33,26 @@ def complete_graph(n: int) -> Graph:
 def star_graph(leaves: int) -> Graph:
     """Center is node 0, leaves 1..leaves."""
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def criterion_1_graphs():
+    """The criterion-1 corpus, (label, graph) in order: the path, cycle,
+    complete and star families up to 8 nodes, then 100 connected
+    G(n, 0.5) samples for each n in 4..8."""
+    for n in range(2, 9):
+        yield f"P{n}", path_graph(n)
+    for n in range(3, 9):
+        yield f"C{n}", cycle_graph(n)
+    for n in range(2, 9):
+        yield f"K{n}", complete_graph(n)
+    for m in range(2, 9):
+        yield f"K1_{m}", star_graph(m)
+    for n in range(4, 9):
+        for k in range(100):
+            seed = n * 10_000 + k
+            while True:
+                g = sample_gnp(n, 0.5, seed)
+                if is_connected(g):
+                    break
+                seed += 1_000_000
+            yield f"rand(n={n},k={k})", g

@@ -13,14 +13,20 @@ import time
 
 import numpy as np
 import pytest
-from conftest import complete_graph, cycle_graph, path_graph, record_acceptance, star_graph
+from conftest import (
+    complete_graph,
+    criterion_1_graphs,
+    cycle_graph,
+    path_graph,
+    record_acceptance,
+    star_graph,
+)
 
 from seqlocate import (
     ExperimentConfig,
     bound_prediction,
     columns_pairwise_distinct,
     er_parameters,
-    is_connected,
     md_exact,
     qc_exact,
     qc_threshold,
@@ -29,7 +35,6 @@ from seqlocate import (
     run_md_smd_sweep,
     run_threshold_sweep,
     sample_bernoulli,
-    sample_gnp,
     smd_exact,
     smd_maxgain_worstcase,
     sqc_exact,
@@ -49,25 +54,6 @@ def _check(criterion: int, ok: bool, detail: str) -> None:
     line = f"criterion {criterion}: {'PASS' if ok else 'FAIL'} - {detail}"
     record_acceptance(line)
     assert ok, line
-
-
-def _families():
-    for n in range(2, 9):
-        yield f"P{n}", path_graph(n)
-    for n in range(3, 9):
-        yield f"C{n}", cycle_graph(n)
-    for n in range(2, 9):
-        yield f"K{n}", complete_graph(n)
-    for m in range(2, 9):
-        yield f"K1_{m}", star_graph(m)
-
-
-def _connected_sample(n: int, p: float, seed: int):
-    while True:
-        g = sample_gnp(n, p, seed)
-        if is_connected(g):
-            return g
-        seed += 1_000_000
 
 
 @pytest.fixture(scope="module")
@@ -121,11 +107,8 @@ def test_criterion_1_ordering_chain():
         if w > m:
             above_md.append(f"{label}: worst={w} md={m}")
 
-    for label, g in _families():
+    for label, g in criterion_1_graphs():
         probe(label, g)
-    for n in range(4, 9):
-        for k in range(100):
-            probe(f"rand(n={n},k={k})", _connected_sample(n, 0.5, n * 10_000 + k))
 
     elapsed = time.perf_counter() - start
     violations = lower_viol + greedy_viol + base_viol

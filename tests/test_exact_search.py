@@ -1,0 +1,330 @@
+"""The exact decision search against the exact-value solvers it replaced.
+
+``ReferenceEngine`` keeps the memoized exact-value minimax (and the
+player-1 choice and adversary answer built on it) that computed every
+game value before the bounded decision search; ``reference_pair_masks``
+and ``reference_min_separating_subset`` keep the pair-mask loop and the
+cardinality-by-cardinality scan over ``combinations`` that computed MD and
+QC before the pruned depth-first subset search.  The new solvers must give
+the same values, the same lexicographically first witnesses, the same
+played transcripts and the same errors.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+import numpy as np
+import pytest
+from conftest import complete_graph, criterion_1_graphs, cycle_graph, path_graph, star_graph
+
+from seqlocate import (
+    AdversaryPolicy,
+    BinaryMatrix,
+    CapExceededError,
+    Graph,
+    Player1Policy,
+    columns_pairwise_distinct,
+    distance_matrix,
+    is_connected,
+    md_exact,
+    qc_exact,
+    sample_bernoulli,
+    sample_gnp,
+    smd_exact,
+    sqc_exact,
+)
+from seqlocate import game
+from seqlocate.game import _LabelGameEngine, _play_on_labels
+from seqlocate.localization import _min_separating_subset, _pair_separation_masks
+
+
+class ReferenceEngine(_LabelGameEngine):
+    """Exact-value minimax: every reachable candidate set gets its value."""
+
+    def __init__(self, labels: np.ndarray) -> None:
+        super().__init__(labels)
+        self._value_memo: dict[int, int] = {}
+
+    def minimax_value(self, mask: int | None = None) -> int:
+        if mask is None:
+            mask = self.full_mask
+        memo = self._value_memo
+
+        def value(m: int) -> int:
+            if m & (m - 1) == 0:
+                return 0
+            cached = memo.get(m)
+            if cached is not None:
+                return cached
+            best: int | None = None
+            for w in range(self.nq):
+                cells = self._split(m, w)
+                if cells is None:
+                    continue
+                worst = 0
+                for cell in cells:
+                    v = value(cell) + 1
+                    if v > worst:
+                        worst = v
+                    if best is not None and worst >= best:
+                        break
+                if best is None or worst < best:
+                    best = worst
+                if best == 1:
+                    break
+            if best is None:
+                raise ValueError("candidate set admits no splitting query")
+            memo[m] = best
+            return best
+
+        return value(mask)
+
+    def exact_p1_choice(self, mask: int) -> int:
+        target_value = self.minimax_value(mask)
+        for w in range(self.nq):
+            cells = self._split(mask, w)
+            if cells is None:
+                continue
+            worst = 1 + max(self.minimax_value(c) for c in cells)
+            if worst == target_value:
+                return w
+        raise RuntimeError("no query achieves the computed value")  # pragma: no cover
+
+    def exact_answer(self, mask: int, w: int) -> int:
+        best_l: int | None = None
+        best_v = -1
+        for lab in sorted(self.cell_bitmasks()[w]):
+            cell = mask & self.cell_bitmasks()[w][lab]
+            if not cell:
+                continue
+            v = self.minimax_value(cell)
+            if v > best_v:
+                best_v = v
+                best_l = lab
+        if best_l is None:
+            raise ValueError("no consistent answer")  # pragma: no cover
+        return best_l
+
+
+def reference_pair_masks(labels: np.ndarray) -> tuple[list[int], int]:
+    n_targets = labels.shape[1]
+    pairs = list(combinations(range(n_targets), 2))
+    full = (1 << len(pairs)) - 1
+    masks = []
+    for w in range(labels.shape[0]):
+        row = labels[w]
+        m = 0
+        for k, (x, y) in enumerate(pairs):
+            if row[x] != row[y]:
+                m |= 1 << k
+        masks.append(m)
+    return masks, full
+
+
+def reference_min_separating_subset(
+    masks: list[int], full: int, cap: int
+) -> tuple[int, tuple[int, ...]] | None:
+    union = 0
+    useful = [w for w, m in enumerate(masks) if m]
+    for m in masks:
+        union |= m
+    if union != full:
+        return None
+    for k in range(1, cap + 1):
+        for combo in combinations(useful, k):
+            acc = 0
+            for w in combo:
+                acc |= masks[w]
+            if acc == full:
+                return k, combo
+    return None
+
+
+def _gnp_corpus():
+    """Two connected samples per (n, p); near-complete games stop at n = 20,
+    because at n = 24 the reference minimax takes several seconds each."""
+    for p in (0.1, 0.3, 0.5, 0.8, 0.95):
+        for n in (8, 12, 16, 20, 24):
+            if p == 0.95 and n > 20:
+                continue
+            found = 0
+            for seed in range(1000):
+                g = sample_gnp(n, p, 1000 * n + seed)
+                if is_connected(g):
+                    yield pytest.param(distance_matrix(g).d, id=f"gnp-{n}-{p}-{seed}")
+                    found += 1
+                    if found == 2:
+                        break
+
+
+def _family_corpus():
+    for make in (path_graph, cycle_graph, star_graph, complete_graph):
+        for n in (3, 5, 8, 12):
+            yield pytest.param(distance_matrix(make(n)).d, id=f"{make.__name__}-{n}")
+
+
+def _distinct_matrices(m: int, n: int, count: int):
+    out, seed = [], 0
+    while len(out) < count:
+        a = sample_bernoulli(m, n, 0.5, seed)
+        if columns_pairwise_distinct(a):
+            out.append(pytest.param(a.bits, id=f"bernoulli-{m}x{n}-{seed}"))
+        seed += 1
+    return out
+
+
+CRITERION_1 = [distance_matrix(g).d for _, g in criterion_1_graphs()]
+GNP = list(_gnp_corpus())
+FAMILIES = list(_family_corpus())
+MATRICES = _distinct_matrices(12, 8, 20) + _distinct_matrices(14, 64, 3)
+TABLES = GNP + FAMILIES + MATRICES
+# The reference scan over combinations takes seconds on the near-complete
+# G(20, 0.95) samples (metric dimension above 10), so subsets skip them.
+SUBSET_TABLES = [p for p in TABLES if not p.id.startswith("gnp-20-0.95")]
+
+
+def _subset_outcome(search, labels: np.ndarray, pair_masks):
+    masks, full = pair_masks(labels)
+    return search(masks, full, labels.shape[0])
+
+
+def test_criterion_1_corpus_values_and_witnesses():
+    assert len(CRITERION_1) == 527
+    for labels in CRITERION_1:
+        assert _LabelGameEngine(labels).game_value() == ReferenceEngine(labels).minimax_value()
+        expected = _subset_outcome(reference_min_separating_subset, labels, reference_pair_masks)
+        assert _subset_outcome(_min_separating_subset, labels, _pair_separation_masks) == expected
+
+
+def test_criterion_9_corpus_values_and_witnesses():
+    matrices = [p.values[0] for p in _distinct_matrices(12, 8, 200)]
+    for bits in matrices:
+        assert _LabelGameEngine(bits).game_value() == ReferenceEngine(bits).minimax_value()
+        expected = _subset_outcome(reference_min_separating_subset, bits, reference_pair_masks)
+        assert _subset_outcome(_min_separating_subset, bits, _pair_separation_masks) == expected
+
+
+def test_corpus_has_deep_games_and_witnesses_that_need_the_last_query():
+    deep = [p for p in GNP if "-0.95-" in p.id]
+    assert deep and all(p.values[0].shape[1] == 20 for p in deep[-2:])
+    last = 0
+    for labels in CRITERION_1:
+        masks, full = reference_pair_masks(labels)
+        found = reference_min_separating_subset(masks, full, labels.shape[0])
+        useful = [w for w, m in enumerate(masks) if m]
+        last += found is not None and bool(useful) and found[1][-1] == useful[-1]
+    assert last >= 5
+
+
+@pytest.mark.parametrize("labels", SUBSET_TABLES)
+def test_pair_masks_and_subset_search_match_reference(labels):
+    assert _pair_separation_masks(labels) == reference_pair_masks(labels)
+    masks, full = reference_pair_masks(labels)
+    expected = reference_min_separating_subset(masks, full, labels.shape[0])
+    assert _min_separating_subset(masks, full, labels.shape[0]) == expected
+    assert _min_separating_subset(masks, full, expected[0]) == expected
+    if expected[0] > 1:
+        assert _min_separating_subset(masks, full, expected[0] - 1) is None
+
+
+@pytest.mark.parametrize("labels", TABLES)
+def test_values_match_reference(labels):
+    """Values and decision tests on all targets, then on random candidate
+    subsets with the same two engines, so memo entries left by one query
+    are reused by the next."""
+    new, ref = _LabelGameEngine(labels), ReferenceEngine(labels)
+    nt = labels.shape[1]
+    rng = np.random.default_rng(nt * 7919 + labels.shape[0])
+    subsets = [rng.choice(nt, size=int(rng.integers(1, nt + 1)), replace=False) for _ in range(6)]
+    for picked in [np.arange(nt)] + subsets:
+        mask = new.mask_of(picked)
+        value = ref.minimax_value(mask)
+        assert new.game_value(mask) == value
+        assert not new.solve(mask, value - 1)
+        assert new.solve(mask, value)
+
+
+def _transcript(labels, p1, p2):
+    t = _play_on_labels(labels, p1, p2, None)
+    return [(s.query, s.answer, s.candidates) for s in t.steps], t.resolved
+
+
+@pytest.mark.parametrize("labels", GNP[::4] + FAMILIES[::2] + MATRICES[::4])
+def test_exact_minimax_transcripts_match_reference(labels, monkeypatch):
+    nt = labels.shape[1]
+    pairings = [
+        (Player1Policy.exact_minimax(), AdversaryPolicy.exact_minimax()),
+        (Player1Policy.exact_minimax(), AdversaryPolicy.greedy_max_cell()),
+        (Player1Policy.exact_minimax(), AdversaryPolicy.fixed_target(nt - 1)),
+        (Player1Policy.max_gain(), AdversaryPolicy.exact_minimax()),
+        (Player1Policy.fixed_sequence(range(labels.shape[0])), AdversaryPolicy.exact_minimax()),
+    ]
+    new = [_transcript(labels, p1, p2) for p1, p2 in pairings]
+    monkeypatch.setattr(game, "_LabelGameEngine", ReferenceEngine)
+    assert new == [_transcript(labels, p1, p2) for p1, p2 in pairings]
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [np.array([[0, 0, 1], [1, 1, 0]]), np.array([[0, 1, 1, 2], [2, 0, 0, 1], [1, 2, 2, 0]])],
+    ids=["twin-targets", "twin-targets-width-3"],
+)
+def test_non_separable_table_raises_like_reference(labels):
+    with pytest.raises(ValueError, match="admits no splitting query") as expected:
+        ReferenceEngine(labels).minimax_value()
+    with pytest.raises(ValueError, match="admits no splitting query") as got:
+        _LabelGameEngine(labels).game_value()
+    assert str(got.value) == str(expected.value)
+    with pytest.raises(ValueError, match="admits no splitting query"):
+        _LabelGameEngine(labels).exact_p1_choice((1 << labels.shape[1]) - 1)
+
+
+def test_counting_bound_is_exact_at_its_edge():
+    """On K_40 every query makes 2 cells: 2**5 < 40 fails before any
+    expansion, 2**6 >= 40 has to search (and fails: the value is 39)."""
+    engine = _LabelGameEngine(distance_matrix(complete_graph(40)).d)
+    assert not engine.solve(engine.full_mask, 5)
+    assert engine.expanded == 0
+    assert not engine.solve(engine.full_mask, 6)
+    assert engine.expanded > 0
+
+
+def test_cap_bounds_the_search_work(monkeypatch):
+    engines = []
+
+    class Spy(_LabelGameEngine):
+        def __init__(self, labels):
+            super().__init__(labels)
+            engines.append(self)
+
+    monkeypatch.setattr(game, "_LabelGameEngine", Spy)
+    with pytest.raises(CapExceededError, match="exceeds cap 3"):
+        smd_exact(complete_graph(40), cap=3)
+    assert engines[0].expanded == 0
+    assert not engines[0]._worst_memo
+
+
+def test_caps_agree_with_values():
+    """A cap at the value passes and a cap one below raises, on graphs and
+    matrices (values checked against the reference above); md and qc keep
+    the reference witness."""
+    for labels in [p.values[0] for p in GNP[::3]]:
+        n = labels.shape[0]
+        g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if labels[i, j] == 1])
+        value = _LabelGameEngine(labels).game_value()
+        assert smd_exact(g, cap=value) == value
+        with pytest.raises(CapExceededError, match=f"exceeds cap {value - 1}"):
+            smd_exact(g, cap=value - 1)
+        size, witness = md_exact(g)
+        assert (size, witness.nodes) == _subset_outcome(
+            reference_min_separating_subset, labels, reference_pair_masks
+        )
+    for param in MATRICES[::5]:
+        bits = param.values[0]
+        a = BinaryMatrix(bits.shape[0], bits.shape[1], bits)
+        value = _LabelGameEngine(bits).game_value()
+        assert sqc_exact(a, cap=value) == value
+        with pytest.raises(CapExceededError, match=f"exceeds cap {value - 1}"):
+            sqc_exact(a, cap=value - 1)
+        assert qc_exact(a) == _subset_outcome(reference_min_separating_subset, bits, reference_pair_masks)
