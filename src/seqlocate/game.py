@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
-from .graphs import DisconnectedGraphError, DistanceMatrix, Graph, distance_matrix, matrix_is_connected
+from .graphs import DistanceMatrix, Graph, distance_matrix
 from .localization import CapExceededError, QuerySet, _cell_counts, _column_blocks, _label_table
 
 _P1_KINDS = ("max-gain", "exact-minimax", "fixed-sequence")
@@ -44,6 +45,8 @@ class Player1Policy:
                 raise ValueError("fixed-sequence policy needs at least one node")
             if len(set(self.sequence)) != len(self.sequence):
                 raise ValueError("fixed-sequence nodes must be distinct")
+            if min(self.sequence) < 0:
+                raise ValueError("fixed-sequence nodes must be nonnegative")
         elif self.sequence:
             raise ValueError(f"policy {self.kind!r} takes no sequence")
 
@@ -146,8 +149,11 @@ class Transcript:
 class _LabelGameEngine:
     """Shared machinery over a response table, array path plus bitset path.
 
-    The array path (candidate index arrays, bincount scoring) scales to
-    thousands of targets and drives played games.  The bitset path encodes
+    The one owner of a response table: a ``DistanceMatrix`` carries one
+    engine, and every solver, played game and stepwise function given that
+    matrix reads the table through it.  The array path (candidate index
+    arrays, bincount scoring) scales to thousands of targets and drives
+    played games and the greedy resolving set.  The bitset path encodes
     candidate sets as ints for the exact game value, a bounded decision
     search seeded by the MAX-GAIN worst case, and is limited to 64 targets.
     """
@@ -159,8 +165,7 @@ class _LabelGameEngine:
         self.labels = labels
         self.nq, self.nt = labels.shape
         self._cells: list[dict[int, int]] | None = None
-        self._table: np.ndarray | None = None
-        self._width = 0
+        self._compact: tuple[np.ndarray, int] | None = None
         self._worst_memo: dict[int, int] = {}
         self._lo: dict[int, int] = {}  # proven lower bounds of the game value
         self._hi: dict[int, int] = {}  # proven upper bounds of the game value
@@ -169,21 +174,33 @@ class _LabelGameEngine:
 
     # ---- array path -------------------------------------------------
 
-    def best_reducer(self, t: np.ndarray, pool: np.ndarray) -> tuple[int, int]:
-        """argmin of the largest cell of ``t`` over the queries where the
-        boolean mask ``pool`` is set, lowest index on ties.
+    def compact_table(self) -> tuple[np.ndarray, int]:
+        """The table in ``_label_table`` form and its width, cast and
+        transposed once per engine."""
+        if self._compact is None:
+            self._compact = _label_table(self.labels)
+        return self._compact
 
-        Scores every query in blocks with the refinement kernel, with ``t``
+    def largest_cells(self, t: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Size of the largest cell of ``t`` under each query lo..hi-1.
+
+        Scores the queries in blocks with the refinement kernel, with ``t``
         as a single class.
         """
+        table, width = self.compact_table()
+        hi = self.nq if hi is None else hi
+        scores = np.empty(hi - lo, dtype=np.int64)
+        for c0, c1 in _column_blocks(hi - lo, t.size, width):
+            _, counts = _cell_counts(table, t, None, width, lo + c0, lo + c1)
+            scores[c0:c1] = counts.reshape(c1 - c0, width).max(axis=1)
+        return scores
+
+    def best_reducer(self, t: np.ndarray, pool: np.ndarray) -> tuple[int, int]:
+        """argmin of the largest cell of ``t`` over the queries where the
+        boolean mask ``pool`` is set, lowest index on ties."""
         if not pool.any():
             raise ValueError("empty query pool")
-        if self._table is None:
-            self._table, self._width = _label_table(self.labels)
-        scores = np.empty(self.nq, dtype=np.int64)
-        for c0, c1 in _column_blocks(self.nq, t.size, self._width):
-            _, counts = _cell_counts(self._table, t, None, self._width, c0, c1)
-            scores[c0:c1] = counts.reshape(c1 - c0, self._width).max(axis=1)
+        scores = self.largest_cells(t)
         scores[~pool] = t.size + 1
         best_w = int(np.argmin(scores))
         return best_w, int(scores[best_w])
@@ -219,17 +236,6 @@ class _LabelGameEngine:
             self._cells = cells
         return self._cells
 
-    def _split(self, mask: int, w: int) -> list[int] | None:
-        """Nonempty cells of mask under w, or None when w does not split."""
-        out = []
-        for cm in self.cell_bitmasks()[w].values():
-            cell = mask & cm
-            if cell == mask:
-                return None
-            if cell:
-                out.append(cell)
-        return out
-
     def _search_tables(self) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
         """Cell masks per query and the counting-bound tables of the search.
 
@@ -251,6 +257,38 @@ class _LabelGameEngine:
             self._search = cell_lists, reach, need
         return self._search
 
+    def splits(self, m: int) -> list[tuple[int, int, list[int]]]:
+        """The queries that split the candidates in ``m``, in MAX-GAIN order.
+
+        One entry (largest cell size, query, nonempty cells) per query with
+        at least two nonempty cells, sorted by largest cell and then by
+        query index.  The first cell is the largest one that comes first in
+        label order; the search removes what lies outside it.  Raises
+        ValueError when no query splits.
+        """
+        size = m.bit_count()
+        out = []
+        for w, cms in enumerate(self._search_tables()[0]):
+            cells = []
+            big = 0
+            for cm in cms:
+                c = m & cm
+                if c:
+                    s = c.bit_count()
+                    if s <= big:
+                        cells.append(c)
+                    elif s == size:
+                        break  # the first nonempty cell is all of m
+                    else:
+                        big = s
+                        cells.insert(0, c)
+            else:
+                out.append((big, w, cells))
+        if not out:
+            raise ValueError("candidate set admits no splitting query")
+        out.sort()
+        return out
+
     def solve(self, mask: int, d: int) -> bool:
         """Can player 1 resolve the candidates in ``mask`` within d queries?
 
@@ -266,7 +304,8 @@ class _LabelGameEngine:
         bound among the query's cells; a success stores 1 + the largest
         upper bound among the cells of the query that passed.
         """
-        cell_lists, reach, need = self._search_tables()
+        _, reach, need = self._search_tables()
+        splits = self.splits
         lo_memo, hi_memo = self._lo, self._hi
         top = self.nt
 
@@ -287,26 +326,8 @@ class _LabelGameEngine:
                 return False
             self.expanded += 1
             limit = reach[d - 1 if d <= top else top]
-            scored = []
-            removed = []  # per query, the candidates outside its largest cell
-            for w, cms in enumerate(cell_lists):
-                cells = []
-                big = 0
-                for cm in cms:
-                    c = m & cm
-                    if c:
-                        s = c.bit_count()
-                        if s == size:
-                            break
-                        cells.append(c)
-                        if s > big:
-                            big = s
-                            big_cell = c
-                else:
-                    scored.append((big, w, cells))
-                    removed.append(m ^ big_cell)
-            if not scored:
-                raise ValueError("candidate set admits no splitting query")
+            scored = splits(m)
+            removed = [m ^ cells[0] for _, _, cells in scored]
             # Packing bound: gather candidates no two of which any query
             # removes together.  Against the adversary that answers each
             # query's largest cell in m, every one of them but the last
@@ -323,7 +344,6 @@ class _LabelGameEngine:
             if packed - 1 > d:
                 lo_memo[m] = packed - 1
                 return False
-            scored.sort()
             best = top + 1  # least lower bound over the queries tried
             for big, _, cells in scored:
                 if big > limit:
@@ -380,9 +400,8 @@ class _LabelGameEngine:
     def exact_p1_choice(self, mask: int) -> int:
         """Lowest-index query achieving the optimal game value from mask."""
         value = self.game_value(mask)
-        for w in range(self.nq):
-            cells = self._split(mask, w)
-            if cells is not None and all(self.solve(c, value - 1) for c in cells):
+        for _, w, cells in sorted(self.splits(mask), key=itemgetter(1)):
+            if all(self.solve(c, value - 1) for c in cells):
                 return w
         raise RuntimeError("no query achieves the computed value")  # pragma: no cover
 
@@ -402,31 +421,11 @@ class _LabelGameEngine:
             raise ValueError("no consistent answer")  # pragma: no cover
         return best_l
 
-    def maxgain_choice_bitset(self, mask: int) -> tuple[int, int]:
-        """MAX-GAIN on a bitset state; ties to the lowest query index.
-
-        Matches ``best_reducer`` over the not-yet-queried pool: an already
-        queried node never splits the current candidate set, so it can
-        never beat a splitting query, and the lowest-index tie rule picks
-        the same winner in both paths.
-        """
-        size = mask.bit_count()
-        best_w = -1
-        best_s = size + 1
-        for w in range(self.nq):
-            worst = 0
-            for cm in self.cell_bitmasks()[w].values():
-                c = (mask & cm).bit_count()
-                if c > worst:
-                    worst = c
-            if worst < best_s:
-                best_s = worst
-                best_w = w
-        return best_w, best_s
-
     def maxgain_worst_value(self, mask: int | None = None) -> int:
         """Steps needed when player 1 is pinned to MAX-GAIN and the
-        adversary plays the full worst case (tree maximum, memoized)."""
+        adversary plays the full worst case (tree maximum, memoized).  The
+        first entry of ``splits`` is ``best_reducer``'s choice over the
+        unqueried pool, as a queried node never splits the candidates."""
         if mask is None:
             mask = self.full_mask
         memo = self._worst_memo
@@ -437,10 +436,7 @@ class _LabelGameEngine:
             cached = memo.get(m)
             if cached is not None:
                 return cached
-            w, score = self.maxgain_choice_bitset(m)
-            if score >= m.bit_count():
-                raise ValueError("candidate set admits no splitting query")
-            cells = self._split(m, w)
+            _, _, cells = self.splits(m)[0]
             result = 1 + max(walk(c) for c in cells)
             memo[m] = result
             return result
@@ -455,12 +451,11 @@ class _LabelGameEngine:
 
 
 def _play_on_labels(
-    labels: np.ndarray,
+    engine: _LabelGameEngine,
     p1: Player1Policy,
     p2: AdversaryPolicy,
     step_cap: int | None,
 ) -> Transcript:
-    engine = _LabelGameEngine(labels)
     nq, nt = engine.nq, engine.nt
     if p2.kind == "fixed-target" and not p2.target < nt:
         raise ValueError(f"target {p2.target} out of range")
@@ -482,7 +477,7 @@ def _play_on_labels(
                 break  # sequence exhausted with candidates remaining
             w = p1.sequence[len(transcript.steps)]
         if p2.kind == "fixed-target":
-            l = int(labels[w, p2.target])
+            l = int(engine.labels[w, p2.target])
         elif p2.kind == "greedy-max-cell":
             l = engine.greedy_answer(t, w)
         else:
@@ -499,31 +494,32 @@ def _play_on_labels(
     return transcript
 
 
-def _require_connected(dm: DistanceMatrix) -> None:
-    if not matrix_is_connected(dm):
-        raise DisconnectedGraphError("the distance game needs a connected graph")
+def _checked(dm: DistanceMatrix, t, w: int | None = None) -> tuple[_LabelGameEngine, np.ndarray]:
+    """``dm``'s engine and the candidate set ``t`` as an array, after the
+    checks the stepwise functions share: ``t`` is nonempty and in range,
+    query ``w`` (when given) is in range, and the graph is connected (the
+    engine raises DisconnectedGraphError)."""
+    t = np.asarray(t)
+    if t.size == 0:
+        raise ValueError("candidate set is empty")
+    if t.min() < 0 or t.max() >= dm.n:
+        raise IndexError("candidate out of range")
+    if w is not None and not 0 <= w < dm.n:
+        raise IndexError(f"query {w} out of range")
+    return dm._engine, t
 
 
 def distance_partition(dm: DistanceMatrix, t: np.ndarray, w: int) -> dict[int, np.ndarray]:
     """Partition of candidate set ``t`` by distance to ``w``; nonempty cells only."""
-    t = np.asarray(t)
-    if t.size == 0:
-        raise ValueError("candidate set is empty")
-    if not 0 <= w < dm.n:
-        raise IndexError(f"query {w} out of range")
-    row = dm.d[w, t]
+    engine, t = _checked(dm, t, w)
+    row = engine.labels[w, t]
     return {int(l): t[row == l] for l in np.unique(row)}
 
 
 def reducer_score(dm: DistanceMatrix, t: np.ndarray, w: int) -> int:
     """Size of the largest cell of the distance partition of ``t`` under ``w``."""
-    t = np.asarray(t)
-    if t.size == 0:
-        raise ValueError("candidate set is empty")
-    if not 0 <= w < dm.n:
-        raise IndexError(f"query {w} out of range")
-    _, counts = np.unique(dm.d[w, t], return_counts=True)
-    return int(counts.max())
+    engine, t = _checked(dm, t, w)
+    return int(engine.largest_cells(t, w, w + 1)[0])
 
 
 def max_gain_query(dm: DistanceMatrix, state: GameState, pool=None) -> int:
@@ -534,37 +530,33 @@ def max_gain_query(dm: DistanceMatrix, state: GameState, pool=None) -> int:
     """
     if state.candidates.size < 2:
         raise ValueError("max-gain needs at least two candidates")
+    engine, t = _checked(dm, state.candidates)
     if pool is None:
-        queried = set(state.queries)
-        pool = [w for w in range(dm.n) if w not in queried]
+        pool = np.setdiff1d(np.arange(dm.n), state.queries)
     else:
-        pool = [int(w) for w in pool]
-    if not pool:
-        raise ValueError("empty query pool")
-    best_w = -1
-    best_s = state.candidates.size + 1
-    for w in pool:
-        s = reducer_score(dm, state.candidates, w)
-        if s < best_s:
-            best_s = s
-            best_w = w
-    return best_w
+        pool = np.array([int(w) for w in pool], dtype=np.int64)
+    outside = pool[(pool < 0) | (pool >= dm.n)]
+    if outside.size:
+        raise IndexError(f"query {outside[0]} out of range")
+    in_pool = np.zeros(dm.n, dtype=bool)
+    in_pool[pool] = True
+    return engine.best_reducer(t, in_pool)[0]
 
 
 def adversary_answer(dm: DistanceMatrix, state: GameState, w: int, policy: AdversaryPolicy) -> int:
-    """The adversary's distance answer to query ``w`` under ``policy``."""
-    if state.candidates.size == 0:
-        raise ValueError("candidate set is empty")
-    if not 0 <= w < dm.n:
-        raise IndexError(f"query {w} out of range")
+    """The adversary's distance answer to query ``w`` under ``policy``.
+
+    The exact-minimax answer reuses the game values that earlier calls on
+    the same ``dm`` proved.
+    """
+    engine, t = _checked(dm, state.candidates, w)
     if policy.kind == "fixed-target":
         if policy.target >= dm.n:
             raise ValueError(f"target {policy.target} out of range")
-        return int(dm.d[w, policy.target])
-    engine = _LabelGameEngine(dm.d)
+        return int(engine.labels[w, policy.target])
     if policy.kind == "greedy-max-cell":
-        return engine.greedy_answer(state.candidates, w)
-    return engine.exact_answer(engine.mask_of(state.candidates), w)
+        return engine.greedy_answer(t, w)
+    return engine.exact_answer(engine.mask_of(t), w)
 
 
 def play_game(
@@ -578,8 +570,7 @@ def play_game(
     Reaching the cap with more than one candidate left is reported on the
     transcript (``resolved`` False), not raised.
     """
-    _require_connected(dm)
-    return _play_on_labels(dm.d, p1, p2, step_cap)
+    return _play_on_labels(dm._engine, p1, p2, step_cap)
 
 
 def smd_exact(g: Graph, cap: int | None = None) -> int:
@@ -591,11 +582,9 @@ def smd_exact(g: Graph, cap: int | None = None) -> int:
     runs first and CapExceededError is raised when it fails, so the cap
     bounds the search work as well as the value.
     """
-    dm = distance_matrix(g)
-    _require_connected(dm)
+    engine = distance_matrix(g)._engine
     if g.n == 1:
         return 0
-    engine = _LabelGameEngine(dm.d)
     if cap is not None and not engine.solve(engine.full_mask, cap):
         raise CapExceededError(f"game value exceeds cap {cap}")
     return engine.game_value()
@@ -608,11 +597,9 @@ def smd_maxgain_worstcase(g: Graph, cap: int | None = None) -> int:
     pinned to MAX-GAIN.  The large-scale estimate counterpart is a single
     ``play_game`` against the greedy-max-cell adversary.
     """
-    dm = distance_matrix(g)
-    _require_connected(dm)
+    engine = distance_matrix(g)._engine
     if g.n == 1:
         return 0
-    engine = _LabelGameEngine(dm.d)
     value = engine.maxgain_worst_value()
     if cap is not None and value > cap:
         raise CapExceededError(f"worst-case step count {value} exceeds cap {cap}")
@@ -632,9 +619,5 @@ def f_separator_exists(
         raise ValueError("W must be nonempty")
     if nodes.min() < 0 or nodes.max() >= dm.n:
         raise IndexError("node in W out of range")
-    bound = nodes.size * gamma + f_value
-    for w in range(dm.n):
-        _, counts = np.unique(dm.d[w, nodes], return_counts=True)
-        if counts.max() <= bound:
-            return True, w
-    return False, None
+    fits = np.flatnonzero(dm._engine.largest_cells(nodes) <= nodes.size * gamma + f_value)
+    return (True, int(fits[0])) if fits.size else (False, None)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -121,6 +122,20 @@ class DistanceMatrix:
     def __post_init__(self) -> None:
         if self.d.shape != (self.n, self.n):
             raise ValueError("distance matrix shape does not match node count")
+
+    @cached_property
+    def _engine(self):
+        """The game engine over ``d``, built on first use and shared by every
+        solver and stepwise function given this matrix.
+
+        Building it is the connectivity check: it raises
+        DisconnectedGraphError when some pair has no path.
+        """
+        from .game import _LabelGameEngine  # game imports this module
+
+        if not matrix_is_connected(self):
+            raise DisconnectedGraphError("the graph is disconnected")
+        return _LabelGameEngine(self.d)
 
 
 def bfs_distances(g: Graph, v: int) -> np.ndarray:

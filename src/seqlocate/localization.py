@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (
-    DisconnectedGraphError,
-    DistanceMatrix,
-    Graph,
-    distance_matrix,
-    matrix_is_connected,
-)
+from .graphs import DistanceMatrix, Graph, distance_matrix
 
 
 class CapExceededError(RuntimeError):
@@ -152,15 +146,13 @@ def md_exact(g: Graph, cap: int | None = None) -> tuple[int, QuerySet]:
     milliseconds.  ``cap`` limits the cardinality searched; if no
     resolving set exists within it, CapExceededError is raised.
     """
-    dm = distance_matrix(g)
-    if not matrix_is_connected(dm):
-        raise DisconnectedGraphError("metric dimension needs a connected graph")
+    labels = distance_matrix(g)._engine.labels  # DisconnectedGraphError if disconnected
     if g.n == 1:
         return 0, QuerySet(())
     limit = g.n if cap is None else cap
     if not 1 <= limit <= g.n:
         raise ValueError(f"cap must be in 1..{g.n}, got {cap}")
-    masks, full = _pair_separation_masks(dm.d)
+    masks, full = _pair_separation_masks(labels)
     found = _min_separating_subset(masks, full, limit)
     if found is None:
         raise CapExceededError(f"no resolving set of size <= {limit}")
@@ -247,18 +239,18 @@ def _best_refinement(
     return best[2], best[0]
 
 
-def _greedy_refinement(labels: np.ndarray) -> list[int]:
+def _greedy_refinement(table: np.ndarray, width: int) -> list[int]:
     """Greedy query selection by partition refinement.
 
-    Maintains the partition of targets into classes with equal responses to
-    the chosen queries.  Each round picks the query minimizing the number
-    of still-unseparated pairs, breaking ties by smaller worst-class size
-    and then by lower query index.  Targets in singleton classes drop out.
-    A chosen query is constant on every class, so it separates nothing and
-    is never chosen again: the round raises first.
+    ``table`` and ``width`` are a response table in ``_label_table`` form
+    (rows are targets).  Maintains the partition of targets into classes
+    with equal responses to the chosen queries.  Each round picks the query
+    minimizing the number of still-unseparated pairs, breaking ties by
+    smaller worst-class size and then by lower query index.  Targets in
+    singleton classes drop out.  A chosen query is constant on every class,
+    so it separates nothing and is never chosen again: the round raises first.
     """
-    n_queries, n_targets = labels.shape
-    table, width = _label_table(labels)
+    n_targets, n_queries = table.shape
     active = np.arange(n_targets)
     rank = np.zeros(n_targets, dtype=np.int64)  # dense class rank, aligned with active
     n_classes = 1
@@ -287,16 +279,16 @@ def _unresolved_pairs(rank: np.ndarray) -> int:
 def md_greedy(g: Graph, dm: DistanceMatrix | None = None) -> QuerySet:
     """Greedy resolving set; scalable upper bound on the metric dimension.
 
-    Pass a precomputed ``dm`` to skip the all-pairs BFS.  The result is
-    verified resolving before it is returned.
+    Pass a precomputed ``dm`` to skip the all-pairs BFS and to share its
+    label table with later games on ``dm``.  The result is verified
+    resolving before it is returned.
     """
     if dm is None:
         dm = distance_matrix(g)
-    if not matrix_is_connected(dm):
-        raise DisconnectedGraphError("metric dimension needs a connected graph")
+    engine = dm._engine  # DisconnectedGraphError if disconnected
     if g.n == 1:
         return QuerySet(())
-    chosen = _greedy_refinement(dm.d)
+    chosen = _greedy_refinement(*engine.compact_table())
     result = QuerySet(tuple(chosen))
     if not is_resolving(dm, result):  # pragma: no cover - termination guarantees this
         raise RuntimeError("greedy produced a non-resolving set")

@@ -164,7 +164,7 @@ def qc_greedy(a: BinaryMatrix) -> tuple[int, ...]:
     _require_distinct(a)
     if a.n == 1:
         return ()
-    return tuple(_greedy_refinement(a.bits))
+    return tuple(_greedy_refinement(*_LabelGameEngine(a.bits).compact_table()))
 
 
 def sqc_exact(a: BinaryMatrix, cap: int | None = None) -> int:
@@ -204,7 +204,7 @@ def sqc_play(
     """Play one matrix game; identical semantics to the graph game with
     cells indexed by the bit values {0, 1}."""
     _require_distinct(a)
-    return _play_on_labels(a.bits, p1, p2, step_cap)
+    return _play_on_labels(_LabelGameEngine(a.bits), p1, p2, step_cap)
 
 
 def read_matrix(text: str) -> BinaryMatrix:

@@ -46,6 +46,17 @@ class ReferenceEngine(_LabelGameEngine):
         super().__init__(labels)
         self._value_memo: dict[int, int] = {}
 
+    def _split(self, mask: int, w: int) -> list[int] | None:
+        """Nonempty cells of mask under w, or None when w does not split."""
+        out = []
+        for cm in self.cell_bitmasks()[w].values():
+            cell = mask & cm
+            if cell == mask:
+                return None
+            if cell:
+                out.append(cell)
+        return out
+
     def minimax_value(self, mask: int | None = None) -> int:
         if mask is None:
             mask = self.full_mask
@@ -246,7 +257,7 @@ def test_values_match_reference(labels):
 
 
 def _transcript(labels, p1, p2):
-    t = _play_on_labels(labels, p1, p2, None)
+    t = _play_on_labels(game._LabelGameEngine(labels), p1, p2, None)
     return [(s.query, s.answer, s.candidates) for s in t.steps], t.resolved
 
 

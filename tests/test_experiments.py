@@ -21,6 +21,7 @@ from seqlocate import (
     summary_path_for,
     write_csv,
 )
+from seqlocate import game, localization
 
 
 def base_config(tmp_path, **overrides) -> ExperimentConfig:
@@ -166,6 +167,21 @@ class TestMdSmdSweep:
             assert traj[-1] == 1
             assert all(a > b for a, b in zip(traj, traj[1:]))
             assert len(traj) == r.smd_estimate_steps + 1
+
+    def test_one_label_table_per_trial(self, tmp_path, monkeypatch):
+        """md_greedy and the played game share the trial's label table."""
+        builds = []
+        build = localization._label_table
+
+        def counted(labels):
+            builds.append(labels.shape)
+            return build(labels)
+
+        for module in (localization, game):
+            monkeypatch.setattr(module, "_label_table", counted)
+        records, _ = run_md_smd_sweep(base_config(tmp_path, trials=1))
+        assert len(records) == 1
+        assert builds == [(20, 20)]
 
     def test_exact_skipped_above_limit(self, tmp_path):
         cfg = base_config(tmp_path, caps={"exact_n_limit": 0})

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import combinations
 
 import numpy as np
@@ -15,6 +19,7 @@ from seqlocate import (
     AdversaryPolicy,
     CapExceededError,
     DisconnectedGraphError,
+    GameState,
     Graph,
     Player1Policy,
     adversary_answer,
@@ -66,6 +71,11 @@ class TestPolicies:
         with pytest.raises(ValueError):
             Player1Policy("max-gain", sequence=(1, 2))
 
+    def test_sequence_rejects_negative_nodes(self):
+        for nodes in [(-1,), (2, -1)]:
+            with pytest.raises(ValueError, match="nonnegative"):
+                Player1Policy.fixed_sequence(nodes)
+
 
 class TestPartitionAndScores:
     def test_partition_cycle(self):
@@ -96,6 +106,66 @@ class TestPartitionAndScores:
     def test_max_gain_respects_pool(self):
         dm = distance_matrix(path_graph(4))
         assert max_gain_query(dm, initial_state(4), pool=np.array([1, 2])) == 1
+
+    def test_max_gain_pool_ties_to_lowest_index(self):
+        dm = distance_matrix(cycle_graph(4))
+        # every query scores 2; the pool's order does not break the tie
+        assert max_gain_query(dm, initial_state(4), pool=[3, 1]) == 1
+
+    @pytest.mark.parametrize("t", [[-1, 1], [1, 4]], ids=["negative", "past-the-end"])
+    def test_candidates_out_of_range_rejected(self, t):
+        dm = distance_matrix(cycle_graph(4))
+        t = np.array(t)
+        state = GameState(queries=[], observations=[], candidates=t)
+        with pytest.raises(IndexError, match="candidate out of range"):
+            distance_partition(dm, t, 0)
+        with pytest.raises(IndexError, match="candidate out of range"):
+            reducer_score(dm, t, 0)
+        with pytest.raises(IndexError, match="candidate out of range"):
+            max_gain_query(dm, state)
+        for policy in (AdversaryPolicy.greedy_max_cell(), AdversaryPolicy.exact_minimax()):
+            with pytest.raises(IndexError, match="candidate out of range"):
+                adversary_answer(dm, state, 0, policy)
+
+
+def test_stepwise_functions_reject_disconnected_graphs():
+    """Every stepwise function given a disconnected graph's matrix raises
+    DisconnectedGraphError.  The calls run in a child process under a
+    1.5 GiB address-space limit: scoring a table that holds UNREACHABLE
+    without this check asks for 2**31 cell counts (16 GiB)."""
+    code = textwrap.dedent(
+        """
+        import resource
+        import numpy as np
+        from seqlocate import *
+
+        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+        dm = distance_matrix(Graph(4, [(0, 1), (2, 3)]))
+        state = initial_state(4)
+        calls = {
+            "distance_partition": lambda: distance_partition(dm, np.arange(4), 0),
+            "reducer_score": lambda: reducer_score(dm, np.arange(4), 0),
+            "max_gain_query": lambda: max_gain_query(dm, state),
+            "f_separator_exists": lambda: f_separator_exists(dm, range(4), 0.5, 0.0),
+            "fixed-target": lambda: adversary_answer(dm, state, 0, AdversaryPolicy.fixed_target(3)),
+            "greedy-max-cell": lambda: adversary_answer(dm, state, 0, AdversaryPolicy.greedy_max_cell()),
+            "exact-minimax": lambda: adversary_answer(dm, state, 0, AdversaryPolicy.exact_minimax()),
+        }
+        for name, call in calls.items():
+            try:
+                call()
+                print(name, "returned")
+            except Exception as exc:
+                print(name, type(exc).__name__)
+        """
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    results = dict(line.split() for line in done.stdout.splitlines())
+    assert len(results) == 7
+    assert set(results.values()) == {"DisconnectedGraphError"}, results
 
 
 class TestAdversaryAnswer:

@@ -5,25 +5,44 @@ loops that scored one query at a time before greedy and MAX-GAIN scoring
 moved to one numpy pass per block of queries.  The kernel must choose the
 same queries, play the same MAX-GAIN transcripts and raise the same errors,
 tie rules included, whatever the block size.
+
+``reference_reducer_score``, ``reference_max_gain_query`` and
+``reference_f_separator_exists`` are the stepwise functions as they were
+before they became wrappers over the distance matrix's engine (one
+``np.unique`` per query), and ``reference_worst_value`` is the MAX-GAIN
+worst walk over the bitset scan that the engine's ``splits`` replaced.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from conftest import cycle_graph, path_graph
+from conftest import criterion_1_graphs, cycle_graph, path_graph
 
 from seqlocate import (
     AdversaryPolicy,
+    DistanceMatrix,
+    GameState,
     Player1Policy,
+    QuerySet,
     distance_matrix,
+    f_separator_exists,
     is_connected,
     localization,
+    max_gain_query,
+    reducer_score,
     sample_bernoulli,
     sample_gnp,
 )
 from seqlocate.game import _LabelGameEngine, _play_on_labels
-from seqlocate.localization import _greedy_refinement
+from seqlocate.localization import _greedy_refinement, _label_table
+
+
+def greedy_refinement(labels: np.ndarray) -> list[int]:
+    """The package's greedy over a label table given as (queries, targets)."""
+    return _greedy_refinement(*_label_table(labels))
 
 
 def reference_greedy_refinement(labels: np.ndarray) -> list[int]:
@@ -109,7 +128,7 @@ def outcome(fn, *args):
 
 def played(labels: np.ndarray, target: int | None) -> tuple[list[tuple[int, int, int]], bool]:
     adversary = AdversaryPolicy.greedy_max_cell() if target is None else AdversaryPolicy.fixed_target(target)
-    transcript = _play_on_labels(labels, Player1Policy.max_gain(), adversary, None)
+    transcript = _play_on_labels(_LabelGameEngine(labels), Player1Policy.max_gain(), adversary, None)
     return [(s.query, s.answer, s.candidates) for s in transcript.steps], transcript.resolved
 
 
@@ -171,17 +190,17 @@ def test_corpus_has_both_matrix_outcomes():
 
 @pytest.mark.parametrize("labels", TABLES)
 def test_greedy_refinement_matches_reference(labels, budget):
-    assert outcome(_greedy_refinement, labels) == outcome(reference_greedy_refinement, labels)
+    assert outcome(greedy_refinement, labels) == outcome(reference_greedy_refinement, labels)
 
 
 @pytest.mark.parametrize("labels", NON_SEPARABLE)
 def test_non_separable_table_raises(labels):
     with pytest.raises(ValueError, match="not separable"):
-        _greedy_refinement(labels)
+        greedy_refinement(labels)
 
 
 def test_empty_target_set_needs_no_query():
-    assert _greedy_refinement(np.zeros((2, 0), dtype=np.int64)) == []
+    assert greedy_refinement(np.zeros((2, 0), dtype=np.int64)) == []
 
 
 @pytest.mark.parametrize("labels", GNP + PATHS_CYCLES + MATRICES)
@@ -213,7 +232,197 @@ def test_negative_labels_rejected_like_reference():
     labels = np.array([[0, -1, 1], [1, 0, 0]])
     assert outcome(reference_greedy_refinement, labels)[0] == "error"
     with pytest.raises(ValueError, match="nonnegative"):
-        _greedy_refinement(labels)
+        greedy_refinement(labels)
     assert outcome(reference_best_reducer, labels, np.arange(3), [0, 1])[0] == "error"
     with pytest.raises(ValueError, match="nonnegative"):
         _LabelGameEngine(labels).best_reducer(np.arange(3), np.ones(2, dtype=bool))
+
+
+def reference_reducer_score(dm, t: np.ndarray, w: int) -> int:
+    t = np.asarray(t)
+    if t.size == 0:
+        raise ValueError("candidate set is empty")
+    if not 0 <= w < dm.n:
+        raise IndexError(f"query {w} out of range")
+    _, counts = np.unique(dm.d[w, t], return_counts=True)
+    return int(counts.max())
+
+
+def reference_max_gain_query(dm, state: GameState, pool=None) -> int:
+    if state.candidates.size < 2:
+        raise ValueError("max-gain needs at least two candidates")
+    if pool is None:
+        queried = set(state.queries)
+        pool = [w for w in range(dm.n) if w not in queried]
+    else:
+        pool = [int(w) for w in pool]
+    if not pool:
+        raise ValueError("empty query pool")
+    best_w = -1
+    best_s = state.candidates.size + 1
+    for w in pool:
+        s = reference_reducer_score(dm, state.candidates, w)
+        if s < best_s:
+            best_s = s
+            best_w = w
+    return best_w
+
+
+def reference_f_separator_exists(dm, w_set, gamma: float, f_value: float) -> tuple[bool, int | None]:
+    nodes = np.asarray(list(w_set) if isinstance(w_set, QuerySet) else w_set, dtype=np.int64)
+    if nodes.size == 0:
+        raise ValueError("W must be nonempty")
+    if nodes.min() < 0 or nodes.max() >= dm.n:
+        raise IndexError("node in W out of range")
+    bound = nodes.size * gamma + f_value
+    for w in range(dm.n):
+        _, counts = np.unique(dm.d[w, nodes], return_counts=True)
+        if counts.max() <= bound:
+            return True, w
+    return False, None
+
+
+def reference_worst_value(engine: _LabelGameEngine, mask: int) -> int:
+    """MAX-GAIN worst case: per mask, scan every query's cells for the
+    smallest largest cell (lowest index on ties), then split on it."""
+
+    def choice(m: int) -> tuple[int, int]:
+        best_w = -1
+        best_s = m.bit_count() + 1
+        for w in range(engine.nq):
+            worst = 0
+            for cm in engine.cell_bitmasks()[w].values():
+                c = (m & cm).bit_count()
+                if c > worst:
+                    worst = c
+            if worst < best_s:
+                best_s = worst
+                best_w = w
+        return best_w, best_s
+
+    def split(m: int, w: int) -> list[int] | None:
+        out = []
+        for cm in engine.cell_bitmasks()[w].values():
+            cell = m & cm
+            if cell == m:
+                return None
+            if cell:
+                out.append(cell)
+        return out
+
+    memo: dict[int, int] = {}
+
+    def walk(m: int) -> int:
+        if m & (m - 1) == 0:
+            return 0
+        cached = memo.get(m)
+        if cached is not None:
+            return cached
+        w, score = choice(m)
+        if score >= m.bit_count():
+            raise ValueError("candidate set admits no splitting query")
+        result = 1 + max(walk(c) for c in split(m, w))
+        memo[m] = result
+        return result
+
+    return walk(mask)
+
+
+def result(fn, *args, **kwargs):
+    """("ok", value), or the type and message of the ValueError or
+    IndexError that ``fn`` raised."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except (ValueError, IndexError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def candidate_sets(n: int, rng: np.random.Generator, count: int) -> list[np.ndarray]:
+    """All n targets, then random subsets in random order, the last one
+    with repeated targets."""
+    sets = [np.arange(n)]
+    sets += [rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False) for _ in range(count)]
+    sets.append(rng.choice(n, size=n, replace=True))
+    return sets
+
+
+def check_stepwise_scorers(dm: DistanceMatrix, rng: np.random.Generator, count: int) -> None:
+    """reducer_score, max_gain_query and f_separator_exists against their
+    references on random candidate sets, pools and bounds, errors included."""
+    n = dm.n
+    for t in candidate_sets(n, rng, count):
+        for w in range(-1, n + 1):
+            assert result(reducer_score, dm, t, w) == result(reference_reducer_score, dm, t, w)
+        queried = rng.choice(n, size=int(rng.integers(0, n)), replace=False).tolist()
+        state = GameState(queries=queried, observations=[0] * len(queried), candidates=t)
+        pools = [None, np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)), [], [0, n]]
+        for pool in pools:
+            assert result(max_gain_query, dm, state, pool) == result(reference_max_gain_query, dm, state, pool)
+        for gamma in (0.25, 0.75):
+            for f_value in (0.0, 2.5):
+                expected = result(reference_f_separator_exists, dm, t, gamma, f_value)
+                assert result(f_separator_exists, dm, t, gamma, f_value) == expected
+    empty = np.array([], dtype=np.int64)
+    assert result(reducer_score, dm, empty, 0) == result(reference_reducer_score, dm, empty, 0)
+    for w_set in (empty, [n], QuerySet(tuple(range(n)))):
+        expected = result(reference_f_separator_exists, dm, w_set, 0.5, 0.0)
+        assert result(f_separator_exists, dm, w_set, 0.5, 0.0) == expected
+
+
+def test_stepwise_scorers_match_reference_on_criterion_1_corpus():
+    rng = np.random.default_rng(1)
+    checked = 0
+    for _, g in criterion_1_graphs():
+        check_stepwise_scorers(distance_matrix(g), rng, 1)
+        checked += 1
+    assert checked == 527
+
+
+@pytest.mark.parametrize("labels", GNP)
+def test_stepwise_scorers_match_reference(labels):
+    rng = np.random.default_rng(labels.shape[0])
+    check_stepwise_scorers(DistanceMatrix(labels.shape[0], labels), rng, 3)
+
+
+@pytest.mark.parametrize("labels", MATRICES)
+def test_engine_scorers_match_reference_on_matrices(labels, budget):
+    """No distance matrix holds a 14x64 table, so the engine's scorers are
+    compared directly: largest cells per query, and the MAX-GAIN choice
+    over a sorted pool."""
+    nq, nt = labels.shape
+    table = SimpleNamespace(n=nq, d=labels)  # what the references read of a dm
+    engine = _LabelGameEngine(labels)
+    rng = np.random.default_rng(nt)
+    for t in candidate_sets(nt, rng, 6):
+        expected = [reference_reducer_score(table, t, w) for w in range(nq)]
+        assert engine.largest_cells(t).tolist() == expected
+        pool = np.sort(rng.choice(nq, size=int(rng.integers(1, nq + 1)), replace=False))
+        in_pool = np.zeros(nq, dtype=bool)
+        in_pool[pool] = True
+        state = GameState(queries=[], observations=[], candidates=t)
+        expected = result(reference_max_gain_query, table, state, pool)
+        assert result(lambda: engine.best_reducer(t, in_pool)[0]) == expected
+
+
+def bitset_tables():
+    """Every table of the scoring corpora with at most 64 targets."""
+    tables = [distance_matrix(g).d for _, g in criterion_1_graphs()]
+    tables += [p.values[0] for p in GNP + MATRICES if p.values[0].shape[1] <= 64]
+    return tables
+
+
+def test_worst_walk_matches_reference():
+    """The MAX-GAIN worst case over ``splits`` equals the old scan's, with
+    the same error when no query splits, on all targets and on random
+    candidate subsets."""
+    errors = 0
+    for labels in bitset_tables():
+        nt = labels.shape[1]
+        engine, reference = _LabelGameEngine(labels), _LabelGameEngine(labels)
+        rng = np.random.default_rng(nt)
+        for t in [np.arange(nt)] + [rng.choice(nt, size=int(rng.integers(1, nt + 1)), replace=False) for _ in range(3)]:
+            mask = engine.mask_of(t)
+            expected = result(reference_worst_value, reference, mask)
+            assert result(engine.maxgain_worst_value, mask) == expected
+            errors += expected[0] != "ok"
+    assert errors > 0  # some 14x64 matrices have equal columns
