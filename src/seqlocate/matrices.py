@@ -18,7 +18,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .game import AdversaryPolicy, Player1Policy, Transcript, _LabelGameEngine, _play_on_labels
-from .localization import CapExceededError, _greedy_refinement, _min_separating_subset, _pair_separation_masks
+from .localization import (
+    CapExceededError,
+    _greedy_refinement,
+    _label_table,
+    _min_separating_subset,
+    _pair_separation_masks,
+)
 
 
 class UndefinedQueryComplexityError(RuntimeError):
@@ -164,7 +170,7 @@ def qc_greedy(a: BinaryMatrix) -> tuple[int, ...]:
     _require_distinct(a)
     if a.n == 1:
         return ()
-    return tuple(_greedy_refinement(*_LabelGameEngine(a.bits).compact_table()))
+    return tuple(_greedy_refinement(*_label_table(a.bits)))
 
 
 def sqc_exact(a: BinaryMatrix, cap: int | None = None) -> int:
