@@ -423,21 +423,39 @@ class _LabelGameEngine:
 
     def maxgain_worst_value(self, mask: int | None = None) -> int:
         """Steps needed when player 1 is pinned to MAX-GAIN and the
-        adversary plays the full worst case (tree maximum, memoized).  The
-        first entry of ``splits`` is ``best_reducer``'s choice over the
-        unqueried pool, as a queried node never splits the candidates."""
+        adversary plays the full worst case (tree maximum, memoized).
+
+        At each mask only the MAX-GAIN query is sought (smallest largest
+        cell, then lowest index; ``best_reducer``'s choice over the
+        unqueried pool, as a queried node never splits the candidates).  A
+        query is dropped at its first cell no smaller than the best largest
+        cell so far, so a query that does not split is dropped too, and only
+        the chosen query's cells are walked."""
         if mask is None:
             mask = self.full_mask
+        cell_lists = self._search_tables()[0]
         memo = self._worst_memo
 
         def walk(m: int) -> int:
             if m & (m - 1) == 0:
-                return 0
+                return 0  # also an empty cell of the chosen query
             cached = memo.get(m)
             if cached is not None:
                 return cached
-            _, _, cells = self.splits(m)[0]
-            result = 1 + max(walk(c) for c in cells)
+            best, chosen = m.bit_count(), None
+            for cms in cell_lists:
+                big = 0
+                for cm in cms:
+                    s = (m & cm).bit_count()
+                    if s > big:
+                        if s >= best:
+                            break
+                        big = s
+                else:
+                    best, chosen = big, cms
+            if chosen is None:
+                raise ValueError("candidate set admits no splitting query")
+            result = 1 + max(walk(m & cm) for cm in chosen)
             memo[m] = result
             return result
 
@@ -517,9 +535,11 @@ def distance_partition(dm: DistanceMatrix, t: np.ndarray, w: int) -> dict[int, n
 
 
 def reducer_score(dm: DistanceMatrix, t: np.ndarray, w: int) -> int:
-    """Size of the largest cell of the distance partition of ``t`` under ``w``."""
+    """Size of the largest cell of the distance partition of ``t`` under ``w``.
+
+    Reads the one row of ``w``; the engine's compact table is not built."""
     engine, t = _checked(dm, t, w)
-    return int(engine.largest_cells(t, w, w + 1)[0])
+    return int(np.bincount(engine.labels[w, t]).max())
 
 
 def max_gain_query(dm: DistanceMatrix, state: GameState, pool=None) -> int:
@@ -611,7 +631,8 @@ def f_separator_exists(
 ) -> tuple[bool, int | None]:
     """Does some query split node set W with no cell above |W|*gamma + f_value?
 
-    Scans queries in index order and returns the first witness, or
+    Scores queries in index order, one block of the scoring kernel at a
+    time, and returns the first witness as soon as a block holds one, or
     (False, None).
     """
     nodes = np.asarray(list(w_set) if isinstance(w_set, QuerySet) else w_set, dtype=np.int64)
@@ -619,5 +640,10 @@ def f_separator_exists(
         raise ValueError("W must be nonempty")
     if nodes.min() < 0 or nodes.max() >= dm.n:
         raise IndexError("node in W out of range")
-    fits = np.flatnonzero(dm._engine.largest_cells(nodes) <= nodes.size * gamma + f_value)
-    return (True, int(fits[0])) if fits.size else (False, None)
+    engine = dm._engine
+    bound = nodes.size * gamma + f_value
+    for c0, c1 in _column_blocks(dm.n, nodes.size, engine.compact_table()[1]):
+        fits = np.flatnonzero(engine.largest_cells(nodes, c0, c1) <= bound)
+        if fits.size:
+            return True, c0 + int(fits[0])
+    return False, None

@@ -148,9 +148,11 @@ def _require_distinct(a: BinaryMatrix) -> None:
 def qc_exact(a: BinaryMatrix, cap: int | None = None) -> tuple[int, tuple[int, ...]]:
     """Smallest row set keeping all columns distinct, with its witness.
 
-    Exhaustive search in increasing cardinality (lexicographic witness).
-    Raises UndefinedQueryComplexityError when the full matrix already has
-    equal columns, CapExceededError when nothing fits within ``cap``.
+    The hitting-set search of ``md_exact`` over column pairs, sizes 1, 2,
+    ... in turn; the witness is the lexicographically first row set of the
+    smallest size.  Raises UndefinedQueryComplexityError when the full
+    matrix already has equal columns, CapExceededError when nothing fits
+    within ``cap``.
     """
     _require_distinct(a)
     limit = a.m if cap is None else cap

@@ -1,13 +1,16 @@
-"""The exact decision search against the exact-value solvers it replaced.
+"""The exact solvers against the solvers they replaced.
 
 ``ReferenceEngine`` keeps the memoized exact-value minimax (and the
 player-1 choice and adversary answer built on it) that computed every
 game value before the bounded decision search; ``reference_pair_masks``
 and ``reference_min_separating_subset`` keep the pair-mask loop and the
 cardinality-by-cardinality scan over ``combinations`` that computed MD and
-QC before the pruned depth-first subset search.  The new solvers must give
-the same values, the same lexicographically first witnesses, the same
-played transcripts and the same errors.
+QC before any pruned subset search.  ``index_order_min_separating_subset``
+keeps the depth-first search over queries in index order, with its union
+prune, that the hitting-set search replaced; it is fast enough to check
+graphs of 24 to 40 nodes, where the scan over ``combinations`` is not.
+The new solvers must give the same values, the same lexicographically
+first witnesses, the same played transcripts and the same errors.
 """
 
 from __future__ import annotations
@@ -149,6 +152,42 @@ def reference_min_separating_subset(
                 acc |= masks[w]
             if acc == full:
                 return k, combo
+    return None
+
+
+def index_order_min_separating_subset(
+    masks: list[int], full: int, cap: int
+) -> tuple[int, tuple[int, ...]] | None:
+    """Cardinalities 1..cap in turn; within one, a depth-first search picks
+    queries in index order and drops a prefix when the union of every later
+    mask cannot complete it, so the first hit is the lexicographically
+    first witness."""
+    useful = [w for w, m in enumerate(masks) if m]
+    picked = [masks[w] for w in useful]
+    later = [0] * (len(picked) + 1)
+    for i in range(len(picked) - 1, -1, -1):
+        later[i] = later[i + 1] | picked[i]
+    if later[0] != full:
+        return None
+    chosen: list[int] = []
+
+    def extend(start: int, acc: int, left: int) -> bool:
+        for i in range(start, len(picked) - left + 1):
+            if acc | later[i] != full:
+                return False
+            covered = acc | picked[i]
+            if left == 1:
+                if covered == full:
+                    chosen.append(useful[i])
+                    return True
+            elif extend(i + 1, covered, left - 1):
+                chosen.append(useful[i])
+                return True
+        return False
+
+    for k in range(1, min(cap, len(picked)) + 1):
+        if extend(0, 0, k):
+            return k, tuple(reversed(chosen))
     return None
 
 
@@ -339,3 +378,97 @@ def test_caps_agree_with_values():
         with pytest.raises(CapExceededError, match=f"exceeds cap {value - 1}"):
             sqc_exact(a, cap=value - 1)
         assert qc_exact(a) == _subset_outcome(reference_min_separating_subset, bits, reference_pair_masks)
+
+
+def _first_connected(n: int, p: float, seed: int) -> np.ndarray:
+    for attempt in range(1000):
+        g = sample_gnp(n, p, 1000 * n + seed + 100 * attempt)
+        if is_connected(g):
+            return distance_matrix(g).d
+    raise AssertionError(f"no connected G({n}, {p}) sample")  # pragma: no cover
+
+
+# Graphs too large for the scan over combinations (G(40, 0.3) has metric
+# dimension 7), 14x64 matrices, and tables with more than 64 useful
+# queries, whose query sets no longer fit one machine word.
+LARGE_TABLES = (
+    [
+        pytest.param(_first_connected(n, p, seed), id=f"gnp-{n}-{p}-{seed}")
+        for p in (0.3, 0.2)
+        for n in range(24, 41, 4)
+        for seed in (0, 1)
+    ]
+    + _distinct_matrices(14, 64, 4)
+    + _distinct_matrices(70, 12, 2)
+    + [
+        pytest.param(distance_matrix(make(70)).d, id=f"{make.__name__}-70")
+        for make in (path_graph, cycle_graph, star_graph)
+    ]
+)
+
+
+@pytest.mark.parametrize("labels", LARGE_TABLES)
+def test_subset_search_matches_index_order_search(labels):
+    """Same size and witness as the index-order search, and the cap
+    boundary: a cap at the size finds the witness, one below finds none."""
+    masks, full = _pair_separation_masks(labels)
+    expected = index_order_min_separating_subset(masks, full, labels.shape[0])
+    assert _min_separating_subset(masks, full, labels.shape[0]) == expected
+    size = expected[0]
+    assert _min_separating_subset(masks, full, size) == expected
+    assert _min_separating_subset(masks, full, size - 1) is None
+
+
+def test_large_corpus_has_every_search_shape():
+    """The corpus above holds witnesses of size 1 to at least 7, tables with
+    more than 64 useful queries, and witnesses that need the last useful
+    query."""
+    sizes, wide, last = set(), 0, 0
+    for param in LARGE_TABLES:
+        masks, full = _pair_separation_masks(param.values[0])
+        useful = [w for w, m in enumerate(masks) if m]
+        size, witness = _min_separating_subset(masks, full, len(masks))
+        sizes.add(size)
+        wide += len(useful) > 64
+        last += witness[-1] == useful[-1]
+    assert {1, 2, 7} <= sizes and wide >= 4 and last >= 1
+
+
+@pytest.mark.parametrize(
+    "masks, full, cap, expected",
+    [
+        ([0b001, 0b010, 0b100], 0b111, 3, (3, (0, 1, 2))),
+        ([0b011, 0, 0b110, 0, 0b100, 0], 0b111, 2, (2, (0, 2))),
+        ([0b011, 0b110, 0b101, 0b001], 0b111, 3, (2, (0, 1))),
+        ([0b0110, 0b1100, 0b0011, 0b1001], 0b1111, 4, (2, (0, 3))),
+        ([0b011, 0b001, 0b100, 0b110], 0b111, 3, (2, (0, 2))),
+        ([0b0011, 0b0101, 0b1000, 0b1110], 0b1111, 4, (2, (0, 3))),
+        ([0b00111, 0b11001, 0b00010, 0b00100, 0b01000, 0b10000], 0b11111, 6, (2, (0, 1))),
+        ([0b011, 0b001, 0], 0b111, 3, None),
+        ([0b011, 0b110], 0b111, 0, None),
+        ([0b001, 0b010, 0b100], 0b111, 2, None),
+        ([0, 0], 0, 2, None),
+    ],
+    ids=[
+        "every-query-needed",
+        "needs-the-last-useful-query",
+        "lexicographically-first-of-several",
+        "search-finds-a-later-cover-first",
+        "witness-skips-a-query",
+        "last-query-completes",
+        "cover-holds-both-queries-of-the-first-pair",
+        "union-falls-short",
+        "cap-zero",
+        "cap-below-size",
+        "no-pairs",
+    ],
+)
+def test_subset_search_small_cases(masks, full, cap, expected):
+    """Hand-made masks.  In "search-finds-a-later-cover-first" every pair
+    has two separating queries, so the search branches on pair 0 and first
+    finds the cover (2, 1); the witness is still (0, 3).  In
+    "cover-holds-both-queries-of-the-first-pair" the only cover of size 2
+    holds both queries that separate pair 0, so a branch may not drop its
+    later siblings."""
+    assert index_order_min_separating_subset(masks, full, cap) == expected
+    assert _min_separating_subset(masks, full, cap) == expected

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import criterion_1_graphs, cycle_graph, path_graph
+from conftest import criterion_1_graphs, cycle_graph, path_graph, star_graph
 
 from seqlocate import (
     AdversaryPolicy,
@@ -426,3 +426,32 @@ def test_worst_walk_matches_reference():
             assert result(engine.maxgain_worst_value, mask) == expected
             errors += expected[0] != "ok"
     assert errors > 0  # some 14x64 matrices have equal columns
+
+
+def test_reducer_score_reads_one_row():
+    """One ``reducer_score`` call on a fresh distance matrix leaves the
+    engine's compact (targets, queries) table unbuilt."""
+    dm = distance_matrix(sample_gnp(60, 0.2, 11))
+    assert reducer_score(dm, np.arange(60), 7) == reference_reducer_score(dm, np.arange(60), 7)
+    assert dm._engine._compact is None
+
+
+@pytest.mark.parametrize("leaf", [1, 5, 10])
+def test_f_separator_stops_at_first_fitting_block(leaf, monkeypatch):
+    """With one query per block, the scan scores queries up to the first
+    that fits and no further.  On a star, only the two leaves of W split
+    W, so the first witness is the lower leaf."""
+    monkeypatch.setattr(localization, "_BLOCK_ELEMENTS", 1)
+    dm = distance_matrix(star_graph(11))
+    scored = []
+    largest_cells = _LabelGameEngine.largest_cells
+
+    def spy(self, t, lo=0, hi=None):
+        scored.extend(range(lo, self.nq if hi is None else hi))
+        return largest_cells(self, t, lo, hi)
+
+    monkeypatch.setattr(_LabelGameEngine, "largest_cells", spy)
+    expected = reference_f_separator_exists(dm, [leaf, 11], 0.5, 0.0)
+    assert expected == (True, leaf)
+    assert f_separator_exists(dm, [leaf, 11], 0.5, 0.0) == expected
+    assert scored == list(range(leaf + 1))
