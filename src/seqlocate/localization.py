@@ -147,7 +147,11 @@ def _min_separating_subset(
     passes, the witness is built position by position, each time taking
     the smallest query whose remainder passes with only later queries
     allowed, so it is the lexicographically first in ``useful`` order.
-    Returns None when even the union of all masks falls short (separation
+    The test returns the cover it found, and ``known``, a smallest cover
+    holding the positions chosen so far, is kept: its next position
+    passes, so only the queries before it are tested, and a query that
+    separates no uncovered pair is skipped, since it would leave a
+    smaller cover.  Returns None when even the union of all masks falls short (separation
     is impossible: a pair that no query separates comes first, and every
     test fails on it at once) or nothing fits within ``cap``; raises
     nothing itself.
@@ -156,40 +160,53 @@ def _min_separating_subset(
     covers, supports = _scarcest_first([masks[w] for w in useful], full.bit_length())
     everything = (1 << len(useful)) - 1
 
-    def cover(uncovered: int, allowed: int, left: int) -> bool:
+    def cover(uncovered: int, allowed: int, left: int) -> int | None:
+        """At most ``left`` queries from ``allowed`` that separate every
+        uncovered pair, as a bitmask of query positions, or None."""
         if not uncovered:
-            return True
+            return 0
         if left == 1:
             while uncovered:
                 low = uncovered & -uncovered
                 allowed &= supports[low.bit_length() - 1]
                 if not allowed:
-                    return False
+                    return None
                 uncovered ^= low
-            return True
+            return allowed & -allowed
         if not left:
-            return False
+            return None
         low = uncovered & -uncovered
         branch = supports[low.bit_length() - 1] & allowed
         while branch:
             q = branch & -branch
             branch ^= q
             allowed ^= q
-            if cover(uncovered & ~covers[q.bit_length() - 1], allowed, left - 1):
-                return True
-        return False
+            rest = cover(uncovered & ~covers[q.bit_length() - 1], allowed, left - 1)
+            if rest is not None:
+                return rest | q
+        return None
 
     for k in range(1, min(cap, len(useful)) + 1):
-        if cover(full, everything, k):
-            witness = []
-            uncovered, i = full, -1
-            for left in range(k - 1, -1, -1):
+        known = cover(full, everything, k)
+        if known is None:
+            continue
+        witness = []
+        uncovered, chosen, i = full, 0, -1
+        for left in range(k - 1, -1, -1):
+            ahead = known & ~chosen
+            last = (ahead & -ahead).bit_length() - 1  # passes, as ``known`` shows
+            i += 1
+            while i < last:
+                if uncovered & covers[i]:
+                    rest = cover(uncovered & ~covers[i], everything & ~((2 << i) - 1), left)
+                    if rest is not None:
+                        known = chosen | 1 << i | rest
+                        break
                 i += 1
-                while not cover(uncovered & ~covers[i], everything & ~((2 << i) - 1), left):
-                    i += 1
-                witness.append(useful[i])
-                uncovered &= ~covers[i]
-            return k, tuple(witness)
+            chosen |= 1 << i
+            witness.append(useful[i])
+            uncovered &= ~covers[i]
+        return k, tuple(witness)
     return None
 
 

@@ -10,7 +10,7 @@ tie rules included, whatever the block size.
 ``reference_f_separator_exists`` are the stepwise functions as they were
 before they became wrappers over the distance matrix's engine (one
 ``np.unique`` per query), and ``reference_worst_value`` is the MAX-GAIN
-worst walk over the bitset scan that the engine's ``splits`` replaced.
+worst walk over the bitset scan that preceded the engine's own.
 """
 
 from __future__ import annotations
@@ -412,7 +412,7 @@ def bitset_tables():
 
 
 def test_worst_walk_matches_reference():
-    """The MAX-GAIN worst case over ``splits`` equals the old scan's, with
+    """The engine's MAX-GAIN worst case equals the old scan's, with
     the same error when no query splits, on all targets and on random
     candidate subsets."""
     errors = 0
