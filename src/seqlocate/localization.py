@@ -137,21 +137,24 @@ def _min_separating_subset(
     it.  A hitting-set search over the target pairs, with the queries that
     separate anything (``useful``, in index order) renumbered 0..Q-1 and
     the pairs renumbered scarcest first (``_scarcest_first``).  The
-    decision test ``cover(uncovered, allowed, left)`` asks whether at most
-    ``left`` queries from ``allowed`` separate every uncovered pair.  It
-    branches only on the queries that separate the first uncovered pair,
-    removing each tried one from ``allowed`` for its later siblings, since
-    any cover holding it was already tried.  With one query left it ANDs
-    the supports of the uncovered pairs and fails as soon as the AND is
-    empty.  The test runs for cardinalities 1..cap; at the first that
-    passes, the witness is built position by position, each time taking
-    the smallest query whose remainder passes with only later queries
-    allowed, so it is the lexicographically first in ``useful`` order.
-    The test returns the cover it found, and ``known``, a smallest cover
-    holding the positions chosen so far, is kept: its next position
-    passes, so only the queries before it are tested, and a query that
-    separates no uncovered pair is skipped, since it would leave a
-    smaller cover.  Returns None when even the union of all masks falls short (separation
+    decision test ``cover(uncovered, allowed, left)`` looks for at most
+    ``left`` queries from ``allowed`` that separate every uncovered pair.
+    It branches only on the queries that separate the first uncovered
+    pair, removing each tried one from ``allowed`` for its later siblings,
+    since any cover holding it was already tried.  With one query left it
+    ANDs the supports of the uncovered pairs and fails as soon as the AND
+    is empty.
+
+    The test runs for cardinalities 1..cap.  At the first that passes, the
+    witness is built position by position, each time taking the smallest
+    query whose remainder passes with only later queries allowed, so it is
+    the lexicographically first in ``useful`` order.  ``known`` is a
+    smallest cover that holds the positions chosen so far, from the last
+    test that passed; its next position passes, so only the queries before
+    that one are tested.  A query that separates no uncovered pair is
+    skipped, since it would leave a smaller cover.
+
+    Returns None when even the union of all masks falls short (separation
     is impossible: a pair that no query separates comes first, and every
     test fails on it at once) or nothing fits within ``cap``; raises
     nothing itself.
@@ -194,9 +197,9 @@ def _min_separating_subset(
         uncovered, chosen, i = full, 0, -1
         for left in range(k - 1, -1, -1):
             ahead = known & ~chosen
-            last = (ahead & -ahead).bit_length() - 1  # passes, as ``known`` shows
+            known_next = (ahead & -ahead).bit_length() - 1
             i += 1
-            while i < last:
+            while i < known_next:
                 if uncovered & covers[i]:
                     rest = cover(uncovered & ~covers[i], everything & ~((2 << i) - 1), left)
                     if rest is not None:
