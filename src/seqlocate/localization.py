@@ -77,7 +77,8 @@ def is_resolving(dm: DistanceMatrix, r: QuerySet) -> bool:
     if rows.max() >= dm.n:
         raise IndexError("query node out of range")
     signatures = dm.d[rows]
-    return np.unique(signatures, axis=1).shape[1] == dm.n
+    signatures = signatures[:, np.lexsort(signatures)]  # equal columns end up adjacent
+    return bool((signatures[:, 1:] != signatures[:, :-1]).any(axis=0).all())
 
 
 def _pair_separation_masks(labels: np.ndarray) -> tuple[list[int], int]:
@@ -318,6 +319,15 @@ def _best_refinement(
     return best[2], best[0]
 
 
+# The greedy switches from cell scoring to pair scoring once the unresolved
+# pairs number at most this many times the active targets.
+_PAIR_PHASE_FACTOR = 12
+
+# Pairs compared per step of the pair kernel: a uint8 sum of this many
+# equalities cannot overflow.
+_PAIR_BLOCK = 255
+
+
 def _greedy_refinement(table: np.ndarray, width: int) -> list[int]:
     """Greedy query selection by partition refinement.
 
@@ -328,6 +338,12 @@ def _greedy_refinement(table: np.ndarray, width: int) -> list[int]:
     smaller worst-class size and then by lower query index.  Targets in
     singleton classes drop out.  A chosen query is constant on every class,
     so it separates nothing and is never chosen again: the round raises first.
+
+    The early rounds score every query over the cells of the active targets
+    (``_best_refinement``).  Once the unresolved pairs number at most
+    ``_PAIR_PHASE_FACTOR`` times the active targets, the rest of the call
+    scores queries over the list of those pairs instead
+    (``_pair_refinement``), which picks the same queries.
     """
     n_targets, n_queries = table.shape
     active = np.arange(n_targets)
@@ -337,8 +353,11 @@ def _greedy_refinement(table: np.ndarray, width: int) -> list[int]:
     while active.size:
         if not n_queries:
             raise ValueError("targets are not separable by the given queries")
+        pairs_left = _unresolved_pairs(rank)
+        if pairs_left <= _PAIR_PHASE_FACTOR * active.size:
+            return chosen + _pair_refinement(table, *_class_pairs(active, rank))
         w, unresolved = _best_refinement(table, active, rank * width, n_classes * width)
-        if unresolved >= _unresolved_pairs(rank):
+        if unresolved >= pairs_left:
             raise ValueError("targets are not separable by the given queries")
         chosen.append(w)
         keys = rank * width + table[active, w]
@@ -355,8 +374,84 @@ def _unresolved_pairs(rank: np.ndarray) -> int:
     return int((counts * (counts - 1) // 2).sum())
 
 
+def _class_pairs(active: np.ndarray, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (xs[i], ys[i]) of targets in ``active`` with equal ``rank``.
+
+    Within a class, xs[i] comes before ys[i] in one fixed order of its members.
+    """
+    order = np.argsort(rank, kind="stable")
+    members = active[order]
+    sizes = np.bincount(rank)
+    # a member pairs with every later member of its class
+    partners = np.repeat(np.cumsum(sizes), sizes) - np.arange(1, members.size + 1)
+    first = np.repeat(np.arange(members.size), partners)
+    step = np.arange(first.size) - np.repeat(np.cumsum(partners) - partners, partners)
+    return members[first], members[first + step + 1]
+
+
+def _pair_counts(table: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """For every query, how many of the pairs (xs[i], ys[i]) it leaves equal."""
+    equal = np.zeros(table.shape[1], dtype=np.int64)
+    for p0 in range(0, xs.size, _PAIR_BLOCK):
+        eq = table[xs[p0 : p0 + _PAIR_BLOCK]] == table[ys[p0 : p0 + _PAIR_BLOCK]]
+        equal += np.add.reduce(eq.view(np.uint8), axis=0, dtype=np.uint8)
+    return equal
+
+
+def _worst_cells(table: np.ndarray, xs: np.ndarray, ys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Largest cell of each of ``queries``, where (xs, ys) are the pairs within
+    the current classes, listed as ``_class_pairs`` lists them.
+
+    The pairs a query leaves equal join each of its cells into a clique,
+    and the cell's first member in the order of ``_class_pairs`` is the xs
+    of a pair with every other member.  So the largest cell is 1 + the
+    most pairs left equal that share one xs.  Only the given query columns
+    are read, a budget-sized block at a time.
+    """
+    n_targets = table.shape[0]
+    worst = np.empty(queries.size, dtype=np.int64)
+    for c0, c1 in _column_blocks(queries.size, xs.size, n_targets):
+        cols = queries[c0:c1]
+        pair, col = np.nonzero(table[np.ix_(xs, cols)] == table[np.ix_(ys, cols)])
+        partners = np.bincount(xs[pair] * cols.size + col, minlength=n_targets * cols.size)
+        worst[c0:c1] = partners.reshape(n_targets, cols.size).max(axis=0) + 1
+    return worst
+
+
+def _pair_refinement(table: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> list[int]:
+    """The greedy rounds of ``_greedy_refinement`` scored over pairs.
+
+    ``(xs, ys)`` lists every pair of targets within the current classes.
+    Each round counts, per query, the pairs it leaves equal, which is the
+    cell kernel's (sum of squared cell sizes - |rows|) / 2, breaks ties as
+    ``_best_refinement`` does and keeps only the pairs the chosen query
+    leaves equal.
+    """
+    chosen: list[int] = []
+    while True:
+        unresolved = _pair_counts(table, xs, ys)
+        low = int(unresolved.min())
+        if low >= xs.size:
+            raise ValueError("targets are not separable by the given queries")
+        tied = np.flatnonzero(unresolved == low)
+        w = int(tied[0])
+        if low and tied.size > 1:  # with low == 0 every worst cell is 1
+            w = int(tied[np.argmin(_worst_cells(table, xs, ys, tied))])
+        chosen.append(w)
+        keep = table[xs, w] == table[ys, w]
+        xs, ys = xs[keep], ys[keep]
+        if not xs.size:
+            return chosen
+
+
 def md_greedy(g: Graph, dm: DistanceMatrix | None = None) -> QuerySet:
     """Greedy resolving set; scalable upper bound on the metric dimension.
+
+    Each round adds the query that leaves the fewest node pairs unresolved
+    (ties: smaller worst class, then lower index).  The early rounds score
+    every query over the class cells of the still-confusable nodes; once
+    few pairs are left, the remaining rounds score queries over the list of
+    those pairs.  Both phases pick the same queries.
 
     Pass a precomputed ``dm`` to skip the all-pairs BFS and to share its
     label table with later games on ``dm``.  The result is verified

@@ -108,6 +108,33 @@ class TestIsResolving:
         dm = distance_matrix(g)
         assert is_resolving(dm, QuerySet(tuple(range(12))))
 
+    @staticmethod
+    def unique_columns_check(dm, r: QuerySet) -> bool:
+        """The check as it was: count the distinct signature columns."""
+        rows = np.asarray(r.nodes, dtype=np.int64)
+        if rows.size == 0:
+            return dm.n <= 1
+        return np.unique(dm.d[rows], axis=1).shape[1] == dm.n
+
+    def test_matches_unique_columns_check(self):
+        rng = np.random.default_rng(17)
+        graphs = [Graph(1, []), path_graph(2), cycle_graph(7), star_graph(5), complete_graph(4)]
+        graphs += [connected_sample(n, p, 40 + n) for n in (10, 30, 60) for p in (0.1, 0.3, 0.8)]
+        seen = set()
+        for g in graphs:
+            dm = distance_matrix(g)
+            sets = [QuerySet(()), QuerySet((0,)), QuerySet(tuple(range(g.n)))]
+            for _ in range(30):
+                size = int(rng.integers(1, g.n + 1))
+                sets.append(QuerySet(tuple(rng.choice(g.n, size=size, replace=False).tolist())))
+            if g.n > 1:
+                sets.append(md_greedy(g, dm))
+            for r in sets:
+                expected = self.unique_columns_check(dm, r)
+                assert is_resolving(dm, r) is expected
+                seen.add(expected)
+        assert seen == {True, False}
+
 
 class TestExact:
     def test_path(self):

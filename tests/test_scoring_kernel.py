@@ -4,7 +4,9 @@
 loops that scored one query at a time before greedy and MAX-GAIN scoring
 moved to one numpy pass per block of queries.  The kernel must choose the
 same queries, play the same MAX-GAIN transcripts and raise the same errors,
-tie rules included, whatever the block size.
+tie rules included, whatever the block size, and whether the greedy scores
+its late rounds over the unresolved pairs from round 1, never, or from the
+default switch on.
 
 ``reference_reducer_score``, ``reference_max_gain_query`` and
 ``reference_f_separator_exists`` are the stepwise functions as they were
@@ -25,6 +27,7 @@ from seqlocate import (
     AdversaryPolicy,
     DistanceMatrix,
     GameState,
+    Graph,
     Player1Policy,
     QuerySet,
     distance_matrix,
@@ -163,8 +166,48 @@ NON_SEPARABLE = [
     pytest.param(np.array([[0, 0, 1], [1, 1, 0]]), id="twin-targets"),
     pytest.param(np.array([[0, 1, 1, 2], [2, 0, 0, 1], [1, 2, 2, 0]]), id="twin-targets-width-3"),
     pytest.param(np.zeros((0, 3), dtype=np.int64), id="no-queries"),
+    pytest.param(np.zeros((2, 1), dtype=np.int64), id="one-target"),  # no query lowers its zero unresolved pairs
 ]
-TABLES = GNP + PATHS_CYCLES + MATRICES + NON_SEPARABLE
+
+
+def hypercube_graph(d: int) -> Graph:
+    return Graph(1 << d, [(v, v ^ (1 << b)) for v in range(1 << d) for b in range(d) if v < v ^ (1 << b)])
+
+
+def complete_bipartite_graph(a: int, b: int) -> Graph:
+    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def grid_graph(rows: int, cols: int) -> Graph:
+    right = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    down = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, right + down)
+
+
+# Symmetric graphs, where many queries tie on unresolved pairs and on the
+# worst cell in every round.
+TIES = [
+    pytest.param(distance_matrix(g).d, id=name)
+    for name, g in [
+        *((f"hypercube-{d}", hypercube_graph(d)) for d in (3, 4, 5)),
+        ("bipartite-3-3", complete_bipartite_graph(3, 3)),
+        ("bipartite-6-6", complete_bipartite_graph(6, 6)),
+        ("cycle-12", cycle_graph(12)),
+        ("cycle-40", cycle_graph(40)),
+        ("grid-5-7", grid_graph(5, 7)),
+        ("grid-8-8", grid_graph(8, 8)),
+    ]
+]
+
+
+def with_twin(labels: np.ndarray) -> np.ndarray:
+    """The table with a copy of target 0 appended, so no query set separates them."""
+    return np.concatenate((labels, labels[:, :1]), axis=1)
+
+
+GNP_BY_ID = {p.id: p.values[0] for p in GNP}
+NON_SEPARABLE.append(pytest.param(with_twin(GNP_BY_ID["gnp-80-0.3-0"]), id="gnp-80-0.3-0-with-twin"))
+TABLES = GNP + PATHS_CYCLES + MATRICES + NON_SEPARABLE + TIES
 
 # Default budget, one query per block, and a budget that splits queries
 # into uneven blocks, so ties across block boundaries are exercised.
@@ -175,6 +218,36 @@ BUDGETS = [None, 1, 257]
 def budget(request, monkeypatch):
     if request.param is not None:
         monkeypatch.setattr(localization, "_BLOCK_ELEMENTS", request.param)
+
+
+# Switch factors: pair scoring from round 1, never, and the default.
+PAIRS_FROM_ROUND_1 = 1 << 62
+PAIRS_NEVER = -1
+PHASES = {"pairs-first": PAIRS_FROM_ROUND_1, "pairs-never": PAIRS_NEVER, "pairs-default": None}
+
+
+@pytest.fixture(params=list(PHASES.values()), ids=list(PHASES))
+def phase(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(localization, "_PAIR_PHASE_FACTOR", request.param)
+
+
+def pair_phase_spy(monkeypatch) -> list[str]:
+    """Record each call of the pair phase: "ok" or the error it raised."""
+    calls: list[str] = []
+    real = localization._pair_refinement
+
+    def spy(*args):
+        try:
+            result = real(*args)
+        except ValueError as exc:
+            calls.append(str(exc))
+            raise
+        calls.append("ok")
+        return result
+
+    monkeypatch.setattr(localization, "_pair_refinement", spy)
+    return calls
 
 
 def test_corpus_covers_every_density():
@@ -189,7 +262,7 @@ def test_corpus_has_both_matrix_outcomes():
 
 
 @pytest.mark.parametrize("labels", TABLES)
-def test_greedy_refinement_matches_reference(labels, budget):
+def test_greedy_refinement_matches_reference(labels, budget, phase):
     assert outcome(greedy_refinement, labels) == outcome(reference_greedy_refinement, labels)
 
 
@@ -197,6 +270,55 @@ def test_greedy_refinement_matches_reference(labels, budget):
 def test_non_separable_table_raises(labels):
     with pytest.raises(ValueError, match="not separable"):
         greedy_refinement(labels)
+
+
+@pytest.mark.parametrize("labels", [p for p in NON_SEPARABLE if p.values[0].size])
+@pytest.mark.parametrize("factor", [PAIRS_FROM_ROUND_1, None], ids=["pairs-first", "pairs-default"])
+def test_pair_phase_raises_not_separable(labels, factor, monkeypatch):
+    if factor is not None:
+        monkeypatch.setattr(localization, "_PAIR_PHASE_FACTOR", factor)
+    calls = pair_phase_spy(monkeypatch)
+    with pytest.raises(ValueError, match="not separable"):
+        greedy_refinement(labels)
+    assert len(calls) == 1 and "not separable" in calls[0]
+
+
+@pytest.mark.parametrize("factor, calls", [(None, ["ok"]), (PAIRS_NEVER, [])], ids=["pairs-default", "pairs-never"])
+def test_default_switches_to_pairs_once(factor, calls, monkeypatch):
+    if factor is not None:
+        monkeypatch.setattr(localization, "_PAIR_PHASE_FACTOR", factor)
+    seen = pair_phase_spy(monkeypatch)
+    labels = GNP_BY_ID["gnp-120-0.3-0"]
+    assert greedy_refinement(labels) == reference_greedy_refinement(labels)
+    assert seen == calls
+
+
+def test_pair_counts_match_brute_force_past_one_block():
+    rng = np.random.default_rng(9)
+    labels = rng.integers(0, 3, size=(6, 50))
+    labels[2] = 1  # leaves every pair equal: more than a uint8 sum can hold
+    table, _ = _label_table(labels)
+    xs, ys = rng.integers(0, 50, size=(2, 3 * localization._PAIR_BLOCK + 7))
+    expected = [int((labels[w, xs] == labels[w, ys]).sum()) for w in range(6)]
+    assert localization._pair_counts(table, xs, ys).tolist() == expected
+    assert expected[2] == xs.size
+
+
+def test_class_pairs_lists_every_same_class_pair():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        size = int(rng.integers(0, 40))
+        active = np.sort(rng.choice(100, size=size, replace=False))
+        rank = rng.integers(0, max(1, size // 3), size=size)
+        xs, ys = localization._class_pairs(active, rank)
+        expected = {
+            (int(active[i]), int(active[j]))
+            for i in range(size)
+            for j in range(i + 1, size)
+            if rank[i] == rank[j]
+        }
+        assert len(xs) == len(expected)
+        assert {(min(x, y), max(x, y)) for x, y in zip(xs.tolist(), ys.tolist())} == expected
 
 
 def test_empty_target_set_needs_no_query():
