@@ -21,7 +21,7 @@ from operator import itemgetter
 import numpy as np
 
 from .graphs import DistanceMatrix, Graph, distance_matrix
-from .localization import CapExceededError, QuerySet, _cell_counts, _column_blocks, _label_table
+from .localization import CapExceededError, QuerySet, _cell_counts, _check_cap, _column_blocks, _label_table
 
 _P1_KINDS = ("max-gain", "exact-minimax", "fixed-sequence")
 _ADV_KINDS = ("fixed-target", "greedy-max-cell", "exact-minimax")
@@ -262,8 +262,9 @@ class _LabelGameEngine:
 
         One entry (largest cell size, query, nonempty cells) per query with
         at least two nonempty cells, sorted by largest cell and then by
-        query index.  The first cell is the largest one that comes first in
-        label order; the search removes what lies outside it.  Raises
+        query index.  The first cell is a largest one: the first of them in
+        the order of ``cell_bitmasks``, which lists a query's cells by their
+        lowest target.  The search removes what lies outside it.  Raises
         ValueError when no query splits.
         """
         size = m.bit_count()
@@ -396,6 +397,27 @@ class _LabelGameEngine:
         while self.solve(mask, d):
             d = min(d, self._hi[mask]) - 1
         return d + 1
+
+    def exact_value(self, cap: int | None = None) -> int:
+        """``game_value`` of all targets, for ``smd_exact`` and ``sqc_exact``.
+
+        A ``cap`` (see ``_check_cap``) first runs one test "resolvable
+        within cap queries?" and raises CapExceededError when it fails.
+        """
+        _check_cap(cap)
+        if cap is not None and not self.solve(self.full_mask, cap):
+            raise CapExceededError(f"game value exceeds cap {cap}")
+        return self.game_value()
+
+    def worst_value(self, cap: int | None = None) -> int:
+        """``maxgain_worst_value`` of all targets, for
+        ``smd_maxgain_worstcase`` and ``sqc_maxgain_worstcase``;
+        CapExceededError when it is above ``cap`` (see ``_check_cap``)."""
+        _check_cap(cap)
+        value = self.maxgain_worst_value()
+        if cap is not None and value > cap:
+            raise CapExceededError(f"worst-case step count {value} exceeds cap {cap}")
+        return value
 
     def exact_p1_choice(self, mask: int) -> int:
         """Lowest-index query achieving the optimal game value from mask."""
@@ -598,16 +620,11 @@ def smd_exact(g: Graph, cap: int | None = None) -> int:
 
     A bounded decision search over candidate bitsets that starts from the
     MAX-GAIN worst case (see ``_LabelGameEngine.game_value``); hard limit
-    64 nodes.  With ``cap``, one test "resolvable within cap queries?"
-    runs first and CapExceededError is raised when it fails, so the cap
-    bounds the search work as well as the value.
+    64 nodes.  With ``cap`` (None or >= 0), one test "resolvable within
+    cap queries?" runs first and CapExceededError is raised when it fails,
+    so the cap bounds the search work as well as the value.
     """
-    engine = distance_matrix(g)._engine
-    if g.n == 1:
-        return 0
-    if cap is not None and not engine.solve(engine.full_mask, cap):
-        raise CapExceededError(f"game value exceeds cap {cap}")
-    return engine.game_value()
+    return distance_matrix(g)._engine.exact_value(cap)
 
 
 def smd_maxgain_worstcase(g: Graph, cap: int | None = None) -> int:
@@ -617,13 +634,7 @@ def smd_maxgain_worstcase(g: Graph, cap: int | None = None) -> int:
     pinned to MAX-GAIN.  The large-scale estimate counterpart is a single
     ``play_game`` against the greedy-max-cell adversary.
     """
-    engine = distance_matrix(g)._engine
-    if g.n == 1:
-        return 0
-    value = engine.maxgain_worst_value()
-    if cap is not None and value > cap:
-        raise CapExceededError(f"worst-case step count {value} exceeds cap {cap}")
-    return value
+    return distance_matrix(g)._engine.worst_value(cap)
 
 
 def f_separator_exists(

@@ -81,36 +81,23 @@ def is_resolving(dm: DistanceMatrix, r: QuerySet) -> bool:
     return bool((signatures[:, 1:] != signatures[:, :-1]).any(axis=0).all())
 
 
-def _pair_separation_masks(labels: np.ndarray) -> tuple[list[int], int]:
-    """Per-query bitmask over target pairs the query tells apart.
-
-    ``labels[w, t]`` is the response to query ``w`` when the target is
-    ``t``.  Pair (x, y) with x < y gets one bit; query w separates it when
-    labels[w, x] != labels[w, y].  Returns (masks, full_mask).
-    """
-    first, second = np.triu_indices(labels.shape[1], 1)  # pair order of combinations()
-    split = labels[:, first] != labels[:, second]
-    rows = np.packbits(split, axis=1, bitorder="little")
-    masks = [int.from_bytes(row.tobytes(), "little") for row in rows]
-    return masks, (1 << first.size) - 1
+def _check_cap(cap: int | None) -> None:
+    """The cap rule of every exact solver: None or an int >= 0."""
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
 
 
-def _scarcest_first(masks: list[int], n_pairs: int) -> tuple[list[int], list[int]]:
-    """The hitting-set form of the pair masks ``masks``, pairs renumbered
-    scarcest first.
+def _scarcest_first(split: np.ndarray) -> tuple[list[int], list[int]]:
+    """The hitting-set form of the (queries x pairs) boolean table ``split``,
+    pairs renumbered scarcest first.
 
     Returns (covers, supports): ``covers[i]`` has bit j set when query i
     separates pair j, and ``supports[j]`` has bit i set for every query i
     that separates pair j.  Pair 0 is separated by the fewest queries; ties
-    keep the order of ``masks``.
+    keep the column order of ``split``.
     """
-    n_queries = len(masks)
+    n_queries, n_pairs = split.shape
     n_bytes = (n_pairs + 7) // 8
-    raw = b"".join(m.to_bytes(n_bytes, "little") for m in masks)
-    split = np.unpackbits(
-        np.frombuffer(raw, np.uint8).reshape(n_queries, n_bytes),
-        axis=1, count=n_pairs, bitorder="little",
-    )
     order = np.argsort(split.sum(axis=0, dtype=np.uint16), kind="stable")
     # Flat packbits is several times faster than packing along an axis, so
     # a query's row is padded to whole bytes and a pair's to whole words.
@@ -129,22 +116,19 @@ def _scarcest_first(masks: list[int], n_pairs: int) -> tuple[list[int], list[int
     return covers, supports
 
 
-def _min_separating_subset(
-    masks: list[int], full: int, cap: int
-) -> tuple[int, tuple[int, ...]] | None:
-    """Smallest subset of queries whose separation masks cover ``full``.
+def _min_separating_subset(split: np.ndarray, cap: int) -> tuple[int, tuple[int, ...]] | None:
+    """Smallest subset of queries that separates every target pair.
 
-    ``full`` has a bit for every pair, as ``_pair_separation_masks`` gives
-    it.  A hitting-set search over the target pairs, with the queries that
-    separate anything (``useful``, in index order) renumbered 0..Q-1 and
-    the pairs renumbered scarcest first (``_scarcest_first``).  The
-    decision test ``cover(uncovered, allowed, left)`` looks for at most
-    ``left`` queries from ``allowed`` that separate every uncovered pair.
-    It branches only on the queries that separate the first uncovered
-    pair, removing each tried one from ``allowed`` for its later siblings,
-    since any cover holding it was already tried.  With one query left it
-    ANDs the supports of the uncovered pairs and fails as soon as the AND
-    is empty.
+    ``split[w, j]`` is True when query w separates pair j.  A hitting-set
+    search over the target pairs, with the queries that separate anything
+    (``useful``, in index order) renumbered 0..Q-1 and the pairs renumbered
+    scarcest first (``_scarcest_first``).  The decision test
+    ``cover(uncovered, allowed, left)`` looks for at most ``left`` queries
+    from ``allowed`` that separate every uncovered pair.  It branches only
+    on the queries that separate the first uncovered pair, removing each
+    tried one from ``allowed`` for its later siblings, since any cover
+    holding it was already tried.  With one query left it ANDs the supports
+    of the uncovered pairs and fails as soon as the AND is empty.
 
     The test runs for cardinalities 1..cap.  At the first that passes, the
     witness is built position by position, each time taking the smallest
@@ -155,13 +139,13 @@ def _min_separating_subset(
     that one are tested.  A query that separates no uncovered pair is
     skipped, since it would leave a smaller cover.
 
-    Returns None when even the union of all masks falls short (separation
-    is impossible: a pair that no query separates comes first, and every
-    test fails on it at once) or nothing fits within ``cap``; raises
-    nothing itself.
+    Returns None when some pair is separated by no query (it comes first,
+    and every test fails on it at once) or nothing fits within ``cap``;
+    raises nothing itself.
     """
-    useful = [w for w, m in enumerate(masks) if m]
-    covers, supports = _scarcest_first([masks[w] for w in useful], full.bit_length())
+    useful = np.flatnonzero(split.any(axis=1)).tolist()
+    covers, supports = _scarcest_first(split[useful])
+    full = (1 << split.shape[1]) - 1
     everything = (1 << len(useful)) - 1
 
     def cover(uncovered: int, allowed: int, left: int) -> int | None:
@@ -214,6 +198,29 @@ def _min_separating_subset(
     return None
 
 
+def _smallest_separating_set(
+    labels: np.ndarray, cap: int | None, what: str
+) -> tuple[int, tuple[int, ...]]:
+    """Smallest set of queries (rows of ``labels``) under which every target
+    (column) has its own responses, with the lexicographically first witness.
+
+    The front end of ``md_exact`` and ``qc_exact``: ``cap`` follows
+    ``_check_cap``, one target needs no query, and the search runs over
+    the table of target pairs each query separates.  Raises
+    CapExceededError, naming the ``what`` sought, when nothing fits within
+    ``cap`` (by default, the number of queries).
+    """
+    _check_cap(cap)
+    if labels.shape[1] == 1:
+        return 0, ()
+    limit = labels.shape[0] if cap is None else cap
+    first, second = np.triu_indices(labels.shape[1], 1)  # pair order of combinations()
+    found = _min_separating_subset(labels[:, first] != labels[:, second], limit)
+    if found is None:
+        raise CapExceededError(f"no {what} of size <= {limit}")
+    return found
+
+
 def md_exact(g: Graph, cap: int | None = None) -> tuple[int, QuerySet]:
     """Exact metric dimension with a lexicographically-first witness.
 
@@ -223,20 +230,11 @@ def md_exact(g: Graph, cap: int | None = None) -> tuple[int, QuerySet]:
     witness is then read off position by position.  The tests below the
     metric dimension dominate the cost, which still grows steeply with n:
     on a 2-vCPU Xeon VM, G(32, 0.3) takes 5-10 ms and G(40, 0.3) 0.1-0.2 s.
-    ``cap`` limits the sizes tested; if no resolving set exists
-    within it, CapExceededError is raised.
+    ``cap`` (None or >= 0) limits the sizes tested; if no resolving set
+    exists within it, CapExceededError is raised.
     """
     labels = distance_matrix(g)._engine.labels  # DisconnectedGraphError if disconnected
-    if g.n == 1:
-        return 0, QuerySet(())
-    limit = g.n if cap is None else cap
-    if not 1 <= limit <= g.n:
-        raise ValueError(f"cap must be in 1..{g.n}, got {cap}")
-    masks, full = _pair_separation_masks(labels)
-    found = _min_separating_subset(masks, full, limit)
-    if found is None:
-        raise CapExceededError(f"no resolving set of size <= {limit}")
-    size, witness = found
+    size, witness = _smallest_separating_set(labels, cap, "resolving set")
     return size, QuerySet(witness)
 
 

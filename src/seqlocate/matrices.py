@@ -18,13 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .game import AdversaryPolicy, Player1Policy, Transcript, _LabelGameEngine, _play_on_labels
-from .localization import (
-    CapExceededError,
-    _greedy_refinement,
-    _label_table,
-    _min_separating_subset,
-    _pair_separation_masks,
-)
+from .localization import _greedy_refinement, _label_table, _smallest_separating_set
 
 
 class UndefinedQueryComplexityError(RuntimeError):
@@ -152,19 +146,10 @@ def qc_exact(a: BinaryMatrix, cap: int | None = None) -> tuple[int, tuple[int, .
     ... in turn; the witness is the lexicographically first row set of the
     smallest size.  Raises UndefinedQueryComplexityError when the full
     matrix already has equal columns, CapExceededError when nothing fits
-    within ``cap``.
+    within ``cap`` (None or >= 0).
     """
     _require_distinct(a)
-    limit = a.m if cap is None else cap
-    if not 1 <= limit <= a.m:
-        raise ValueError(f"cap must be in 1..{a.m}, got {cap}")
-    if a.n == 1:
-        return 0, ()
-    masks, full = _pair_separation_masks(a.bits)
-    found = _min_separating_subset(masks, full, limit)
-    if found is None:
-        raise CapExceededError(f"no distinguishing row set of size <= {limit}")
-    return found
+    return _smallest_separating_set(a.bits, cap, "distinguishing row set")
 
 
 def qc_greedy(a: BinaryMatrix) -> tuple[int, ...]:
@@ -178,29 +163,17 @@ def qc_greedy(a: BinaryMatrix) -> tuple[int, ...]:
 def sqc_exact(a: BinaryMatrix, cap: int | None = None) -> int:
     """Adaptive game value on the matrix: bit queries, both sides optimal.
 
-    Same decision search as ``smd_exact``; with ``cap``, a failed test
-    "resolvable within cap queries?" raises CapExceededError before any
-    value is computed.
+    Same decision search and cap rule as ``smd_exact``
+    (``_LabelGameEngine.exact_value``).
     """
     _require_distinct(a)
-    if a.n == 1:
-        return 0
-    engine = _LabelGameEngine(a.bits)
-    if cap is not None and not engine.solve(engine.full_mask, cap):
-        raise CapExceededError(f"game value exceeds cap {cap}")
-    return engine.game_value()
+    return _LabelGameEngine(a.bits).exact_value(cap)
 
 
 def sqc_maxgain_worstcase(a: BinaryMatrix, cap: int | None = None) -> int:
     """Worst-case MAX-GAIN step count on the matrix game."""
     _require_distinct(a)
-    if a.n == 1:
-        return 0
-    engine = _LabelGameEngine(a.bits)
-    value = engine.maxgain_worst_value()
-    if cap is not None and value > cap:
-        raise CapExceededError(f"worst-case step count {value} exceeds cap {cap}")
-    return value
+    return _LabelGameEngine(a.bits).worst_value(cap)
 
 
 def sqc_play(

@@ -31,6 +31,13 @@ def cycle_file(tmp_path):
 
 
 @pytest.fixture
+def six_cycle_file(tmp_path):
+    path = tmp_path / "c6.txt"
+    path.write_text(write_edge_list(cycle_graph(6)))
+    return str(path)
+
+
+@pytest.fixture
 def balanced_matrix_file(tmp_path):
     bits = np.array([[0, 0, 1, 1], [0, 1, 0, 1]], dtype=np.uint8)
     path = tmp_path / "bal.txt"
@@ -81,6 +88,11 @@ class TestMd:
         assert code == 3
         assert json.loads(out)["kind"] == "CapExceededError"
 
+    def test_cap_zero_is_exceeded_not_invalid(self, capsys, six_cycle_file):
+        code, out, _ = run_cli(capsys, "md", "--in", six_cycle_file, "--exact-cap", "0")
+        assert code == 3
+        assert json.loads(out)["kind"] == "CapExceededError"
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "md", "--in", str(tmp_path / "nope.txt"))
         assert code == 2
@@ -114,6 +126,13 @@ class TestSmd:
         assert payload["resolved"] is True
         assert payload["smd"] == len(payload["transcript"]) == 2
         assert payload["transcript"][0] == {"step": 1, "query": 0, "answer": 1, "candidates": 2}
+
+    def test_negative_cap_is_usage_error(self, capsys, six_cycle_file):
+        code, _, err = run_cli(
+            capsys, "smd", "--in", six_cycle_file, "--mode", "exact", "--cap", "-1"
+        )
+        assert code == 2
+        assert "seqlocate:" in err
 
     def test_mode_required(self, capsys, cycle_file):
         code, _, _ = run_cli(capsys, "smd", "--in", cycle_file)
@@ -199,6 +218,13 @@ class TestMatrix:
         )
         assert code == 0
         assert json.loads(out) == {"sqc": 2, "mode": "exact"}
+
+    def test_qc_one_column_within_cap_zero(self, capsys, tmp_path):
+        path = tmp_path / "col.txt"
+        path.write_text("3 1\n0\n1\n1\n")
+        code, out, _ = run_cli(capsys, "matrix", "qc", "--in", str(path), "--exact-cap", "0")
+        assert code == 0
+        assert json.loads(out) == {"qc": 0, "rows": [], "method": "exact"}
 
     def test_sqc_play(self, capsys, balanced_matrix_file):
         code, out, _ = run_cli(

@@ -35,11 +35,13 @@ from seqlocate import (
     sample_bernoulli,
     sample_gnp,
     smd_exact,
+    smd_maxgain_worstcase,
     sqc_exact,
+    sqc_maxgain_worstcase,
 )
 from seqlocate import game
 from seqlocate.game import _LabelGameEngine, _play_on_labels
-from seqlocate.localization import _min_separating_subset, _pair_separation_masks
+from seqlocate.localization import _min_separating_subset, _smallest_separating_set
 
 
 class ReferenceEngine(_LabelGameEngine):
@@ -234,6 +236,22 @@ TABLES = GNP + FAMILIES + MATRICES
 SUBSET_TABLES = [p for p in TABLES if not p.id.startswith("gnp-20-0.95")]
 
 
+def _pair_table(masks: list[int], full: int) -> np.ndarray:
+    """The boolean (queries x pairs) table of pair masks: entry (w, j) is
+    bit j of ``masks[w]``, for the ``full.bit_length()`` pairs."""
+    n_pairs = full.bit_length()
+    n_bytes = (n_pairs + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(n_bytes, "little") for m in masks), np.uint8)
+    bits = np.unpackbits(raw.reshape(len(masks), n_bytes), axis=1, count=n_pairs, bitorder="little")
+    return bits.astype(bool)
+
+
+def _search(masks: list[int], full: int, cap: int):
+    """``_min_separating_subset`` on pair masks, hand-made or from
+    ``reference_pair_masks``."""
+    return _min_separating_subset(_pair_table(masks, full), cap)
+
+
 def _subset_outcome(search, labels: np.ndarray, pair_masks):
     masks, full = pair_masks(labels)
     return search(masks, full, labels.shape[0])
@@ -244,7 +262,7 @@ def test_criterion_1_corpus_values_and_witnesses():
     for labels in CRITERION_1:
         assert _LabelGameEngine(labels).game_value() == ReferenceEngine(labels).minimax_value()
         expected = _subset_outcome(reference_min_separating_subset, labels, reference_pair_masks)
-        assert _subset_outcome(_min_separating_subset, labels, _pair_separation_masks) == expected
+        assert _subset_outcome(_search, labels, reference_pair_masks) == expected
 
 
 def test_criterion_9_corpus_values_and_witnesses():
@@ -252,7 +270,7 @@ def test_criterion_9_corpus_values_and_witnesses():
     for bits in matrices:
         assert _LabelGameEngine(bits).game_value() == ReferenceEngine(bits).minimax_value()
         expected = _subset_outcome(reference_min_separating_subset, bits, reference_pair_masks)
-        assert _subset_outcome(_min_separating_subset, bits, _pair_separation_masks) == expected
+        assert _subset_outcome(_search, bits, reference_pair_masks) == expected
 
 
 def test_corpus_has_deep_games_and_witnesses_that_need_the_last_query():
@@ -269,13 +287,13 @@ def test_corpus_has_deep_games_and_witnesses_that_need_the_last_query():
 
 @pytest.mark.parametrize("labels", SUBSET_TABLES)
 def test_pair_masks_and_subset_search_match_reference(labels):
-    assert _pair_separation_masks(labels) == reference_pair_masks(labels)
     masks, full = reference_pair_masks(labels)
     expected = reference_min_separating_subset(masks, full, labels.shape[0])
-    assert _min_separating_subset(masks, full, labels.shape[0]) == expected
-    assert _min_separating_subset(masks, full, expected[0]) == expected
+    assert _smallest_separating_set(labels, None, "set") == expected
+    assert _search(masks, full, labels.shape[0]) == expected
+    assert _search(masks, full, expected[0]) == expected
     if expected[0] > 1:
-        assert _min_separating_subset(masks, full, expected[0] - 1) is None
+        assert _search(masks, full, expected[0] - 1) is None
 
 
 @pytest.mark.parametrize("labels", TABLES)
@@ -380,6 +398,46 @@ def test_caps_agree_with_values():
         assert qc_exact(a) == _subset_outcome(reference_min_separating_subset, bits, reference_pair_masks)
 
 
+def _cap_rule_cases():
+    """Each exact solver on a one-target instance (value 0) and on one of
+    value 2: C_6 for the graph solvers, a 3x4 matrix for the matrix ones.
+    The caps are -1, 0, the value - 1, the value and the targets + 1."""
+    four_columns = np.array([[0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 1, 0]], dtype=np.uint8)
+    families = [
+        ((md_exact, smd_exact, smd_maxgain_worstcase), Graph(1, []), cycle_graph(6), 6),
+        (
+            (qc_exact, sqc_exact, sqc_maxgain_worstcase),
+            BinaryMatrix(3, 1, np.array([[0], [1], [1]], dtype=np.uint8)),
+            BinaryMatrix(3, 4, four_columns),
+            4,
+        ),
+    ]
+    for solvers, one_target, value_two, targets in families:
+        one_target_caps = [(-1, ValueError), (0, 0), (2, 0)]
+        value_two_caps = [
+            (-1, ValueError), (0, CapExceededError), (1, CapExceededError), (2, 2), (targets + 1, 2)
+        ]
+        for solver in solvers:
+            name = solver.__name__
+            for cap, expected in one_target_caps:
+                yield pytest.param(solver, one_target, cap, expected, id=f"{name}-one-target-cap{cap}")
+            for cap, expected in value_two_caps:
+                yield pytest.param(solver, value_two, cap, expected, id=f"{name}-value-2-cap{cap}")
+
+
+@pytest.mark.parametrize("solver, instance, cap, expected", list(_cap_rule_cases()))
+def test_cap_rule(solver, instance, cap, expected):
+    """One cap rule for all six exact solvers: a negative cap is a
+    ValueError, an answer above the cap a CapExceededError, and any cap at
+    or above the answer returns it."""
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            solver(instance, cap=cap)
+    else:
+        result = solver(instance, cap=cap)
+        assert (result[0] if isinstance(result, tuple) else result) == expected
+
+
 def _first_connected(n: int, p: float, seed: int) -> np.ndarray:
     for attempt in range(1000):
         g = sample_gnp(n, p, 1000 * n + seed + 100 * attempt)
@@ -411,12 +469,12 @@ LARGE_TABLES = (
 def test_subset_search_matches_index_order_search(labels):
     """Same size and witness as the index-order search, and the cap
     boundary: a cap at the size finds the witness, one below finds none."""
-    masks, full = _pair_separation_masks(labels)
+    masks, full = reference_pair_masks(labels)
     expected = index_order_min_separating_subset(masks, full, labels.shape[0])
-    assert _min_separating_subset(masks, full, labels.shape[0]) == expected
+    assert _search(masks, full, labels.shape[0]) == expected
     size = expected[0]
-    assert _min_separating_subset(masks, full, size) == expected
-    assert _min_separating_subset(masks, full, size - 1) is None
+    assert _search(masks, full, size) == expected
+    assert _search(masks, full, size - 1) is None
 
 
 def test_large_corpus_has_every_search_shape():
@@ -425,9 +483,9 @@ def test_large_corpus_has_every_search_shape():
     query."""
     sizes, wide, last = set(), 0, 0
     for param in LARGE_TABLES:
-        masks, full = _pair_separation_masks(param.values[0])
+        masks, full = reference_pair_masks(param.values[0])
         useful = [w for w, m in enumerate(masks) if m]
-        size, witness = _min_separating_subset(masks, full, len(masks))
+        size, witness = _search(masks, full, len(masks))
         sizes.add(size)
         wide += len(useful) > 64
         last += witness[-1] == useful[-1]
@@ -471,4 +529,4 @@ def test_subset_search_small_cases(masks, full, cap, expected):
     holds both queries that separate pair 0, so a branch may not drop its
     later siblings."""
     assert index_order_min_separating_subset(masks, full, cap) == expected
-    assert _min_separating_subset(masks, full, cap) == expected
+    assert _search(masks, full, cap) == expected
