@@ -7,9 +7,10 @@ prints the model calculators, ``matrix`` covers the binary-matrix side,
 on stdout; sweeps write CSV files; graphs and matrices use their
 plain-text formats.
 
-Exit codes: 0 success, 2 usage errors, 3 domain errors (disconnected
-input, equal columns, caps exceeded), with a JSON error object on stdout
-for the domain case.
+Exit codes: 0 success, 2 usage errors (bad flags or configs, files that
+cannot be read or written), 3 domain errors (disconnected input, equal
+columns, caps exceeded), with a JSON error object on stdout for the
+domain case.
 """
 
 from __future__ import annotations
@@ -278,10 +279,7 @@ def dispatch(argv) -> int:
     except _DOMAIN_ERRORS as exc:
         _emit({"error": str(exc), "kind": type(exc).__name__})
         return 3
-    except ValueError as exc:
-        print(f"seqlocate: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValueError, OSError) as exc:
         print(f"seqlocate: {exc}", file=sys.stderr)
         return 2
 

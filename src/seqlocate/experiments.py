@@ -15,7 +15,7 @@ import json
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from time import perf_counter
 
@@ -34,6 +34,8 @@ _KINDS = (KIND_MD_SMD_SWEEP, KIND_THRESHOLD_SWEEP, KIND_LEVEL_FRACTIONS)
 
 _MAX_RESAMPLES = 10
 
+_CAP_KEYS = ("step_cap", "exact_n_limit")
+
 _P_RULE = re.compile(r"^\s*([0-9.eE+-]+)\s*/\s*N\^\s*([0-9.eE+-]+)\s*$")
 
 
@@ -46,9 +48,11 @@ class ExperimentConfig:
     """One experiment: a grid of cells plus execution knobs.
 
     ``p_or_q`` is either a list of values applied to every n, or a
-    parametric rule string "c/N^a" evaluated per n.  ``caps`` recognizes
-    "step_cap" (per-game step limit; default n) and "exact_n_limit" (run
-    the exact game value as well for n at or below it; default 0, off).
+    parametric rule string "c/N^a" evaluated per n (not for threshold
+    sweeps).  ``caps`` takes only "step_cap" (per-game step limit, None or
+    >= 1; default n) and "exact_n_limit" (run the exact game value as well
+    for n at or below it, >= 0; default 0, off).  Every check runs here, so
+    a bad config fails before any cell runs.
     ``m_values`` (threshold sweeps) defaults to a grid straddling the
     predicted threshold.  ``sources_per_graph`` applies to level-fraction
     runs.
@@ -81,8 +85,19 @@ class ExperimentConfig:
         if isinstance(self.p_or_q, str):
             if _P_RULE.match(self.p_or_q) is None:
                 raise ValueError(f"bad p rule {self.p_or_q!r}, expected 'c/N^a'")
+            if self.kind == KIND_THRESHOLD_SWEEP:
+                raise ValueError("threshold sweeps take explicit q values, not a rule")
         elif not self.p_or_q:
             raise ValueError("p_or_q must be nonempty")
+        for m in self.m_values or ():
+            if m < 0:
+                raise ValueError(f"row count must be >= 0, got {m}")
+        if not isinstance(self.caps, dict) or not set(self.caps) <= set(_CAP_KEYS):
+            raise ValueError(f"caps takes only the keys {list(_CAP_KEYS)}, got {self.caps!r}")
+        if self.step_cap is not None and self.step_cap < 1:
+            raise ValueError(f"step_cap must be null or >= 1, got {self.step_cap}")
+        if self.exact_n_limit < 0:
+            raise ValueError(f"exact_n_limit must be >= 0, got {self.exact_n_limit}")
 
     def p_values_for(self, n: int) -> list[float]:
         if isinstance(self.p_or_q, str):
@@ -97,14 +112,22 @@ class ExperimentConfig:
 
     @property
     def exact_n_limit(self) -> int:
-        return int(self.caps.get("exact_n_limit", 0))
+        return self.caps.get("exact_n_limit", 0)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        missing = [
+            f.name
+            for f in fields(cls)
+            if f.name not in data and f.default is MISSING and f.default_factory is MISSING
+        ]
+        if missing:
+            raise ValueError(f"missing config fields: {missing}")
         return cls(**data)
 
     @classmethod
@@ -123,6 +146,12 @@ def derive_trial_seed(base_seed: int, *parts) -> int:
     return (int(base_seed) ^ int.from_bytes(digest, "big")) & (2**63 - 1)
 
 
+def _csv_columns(row_type) -> list[str]:
+    """The CSV columns of a row dataclass: its fields in declaration order,
+    less those whose metadata marks them in-memory."""
+    return [f.name for f in fields(row_type) if not f.metadata.get("in_memory")]
+
+
 @dataclass
 class TrialRecord:
     n: int
@@ -135,23 +164,9 @@ class TrialRecord:
     bound_lower: float | None
     bound_upper: float | None
     md_predicted: float | None
-    wall_time_ms: float
-    # In-memory only: |T| before play followed by |T| after each step.
-    candidate_trajectory: list[int] = field(default_factory=list)
-
-
-TRIAL_CSV_FIELDS = [
-    "n",
-    "p",
-    "trial_index",
-    "seed",
-    "md_greedy_size",
-    "smd_estimate_steps",
-    "smd_exact",
-    "bound_lower",
-    "bound_upper",
-    "md_predicted",
-]
+    wall_time_ms: float = field(metadata={"in_memory": True})
+    # |T| before play followed by |T| after each step.
+    candidate_trajectory: list[int] = field(default_factory=list, metadata={"in_memory": True})
 
 
 @dataclass
@@ -169,21 +184,6 @@ class SummaryRow:
     estimator: str = "maxgain-vs-greedy-adversary-lower-estimate"
 
 
-SUMMARY_CSV_FIELDS = [
-    "n",
-    "p",
-    "trials",
-    "md_greedy_mean",
-    "md_greedy_stderr",
-    "smd_estimate_mean",
-    "smd_estimate_stderr",
-    "bound_lower",
-    "bound_upper",
-    "md_predicted",
-    "estimator",
-]
-
-
 @dataclass
 class ThresholdRow:
     n: int
@@ -191,9 +191,6 @@ class ThresholdRow:
     m: int
     trials: int
     p_distinct: float
-
-
-THRESHOLD_CSV_FIELDS = ["n", "q", "m", "trials", "p_distinct"]
 
 
 @dataclass
@@ -206,14 +203,10 @@ class LevelFractionRow:
     ratio_max_deviation: float | None  # only for levels at or below the regime index
 
 
-LEVEL_CSV_FIELDS = [
-    "n",
-    "p",
-    "level",
-    "empirical_fraction",
-    "predicted_fraction",
-    "ratio_max_deviation",
-]
+TRIAL_CSV_FIELDS = _csv_columns(TrialRecord)
+SUMMARY_CSV_FIELDS = _csv_columns(SummaryRow)
+THRESHOLD_CSV_FIELDS = _csv_columns(ThresholdRow)
+LEVEL_CSV_FIELDS = _csv_columns(LevelFractionRow)
 
 
 def _format_value(value) -> str:
@@ -357,8 +350,6 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> list[ThresholdRow]:
     """
     if cfg.kind != KIND_THRESHOLD_SWEEP:
         raise ValueError(f"config kind is {cfg.kind!r}")
-    if isinstance(cfg.p_or_q, str):
-        raise ValueError("threshold sweeps take explicit q values, not a rule")
     cells = [
         (n, q, m)
         for n in cfg.n_values
@@ -368,8 +359,6 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> list[ThresholdRow]:
 
     def run_cell(cell) -> ThresholdRow:
         n, q, m = cell
-        if m < 0:
-            raise ValueError(f"row count must be >= 0, got {m}")
         if m == 0:
             return ThresholdRow(n=n, q=q, m=0, trials=cfg.trials, p_distinct=1.0 if n == 1 else 0.0)
         distinct = 0

@@ -191,7 +191,7 @@ class _LabelGameEngine:
         hi = self.nq if hi is None else hi
         scores = np.empty(hi - lo, dtype=np.int64)
         for c0, c1 in _column_blocks(hi - lo, t.size, width):
-            _, counts = _cell_counts(table, t, None, width, lo + c0, lo + c1)
+            counts = _cell_counts(table, t, None, width, lo + c0, lo + c1)
             scores[c0:c1] = counts.reshape(c1 - c0, width).max(axis=1)
         return scores
 
@@ -205,10 +205,18 @@ class _LabelGameEngine:
         best_w = int(np.argmin(scores))
         return best_w, int(scores[best_w])
 
-    def greedy_answer(self, t: np.ndarray, w: int) -> int:
-        """Label of the largest cell of t under query w; smallest on ties."""
-        counts = np.bincount(self.labels[w, t])
-        return int(np.argmax(counts))
+    def answer(self, t: np.ndarray, w: int, policy: AdversaryPolicy) -> int:
+        """The adversary's label for query w on candidates t under ``policy``.
+
+        A fixed target answers its own label; greedy-max-cell the label of
+        the largest cell (smallest on ties); exact-minimax ``exact_answer``.
+        Callers check that w and the target are in range.
+        """
+        if policy.kind == "fixed-target":
+            return int(self.labels[w, policy.target])
+        if policy.kind == "greedy-max-cell":
+            return int(np.argmax(np.bincount(self.labels[w, t])))
+        return self.exact_answer(self.mask_of(t), w)
 
     def restrict(self, t: np.ndarray, w: int, l: int) -> np.ndarray:
         return t[self.labels[w, t] == l]
@@ -516,12 +524,7 @@ def _play_on_labels(
             if len(transcript.steps) >= len(p1.sequence):
                 break  # sequence exhausted with candidates remaining
             w = p1.sequence[len(transcript.steps)]
-        if p2.kind == "fixed-target":
-            l = int(engine.labels[w, p2.target])
-        elif p2.kind == "greedy-max-cell":
-            l = engine.greedy_answer(t, w)
-        else:
-            l = engine.exact_answer(engine.mask_of(t), w)
+        l = engine.answer(t, w, p2)
         t = engine.restrict(t, w, l)
         if t.size == 0:  # pragma: no cover - answers are always consistent
             raise RuntimeError("inconsistent answer emptied the candidate set")
@@ -592,13 +595,9 @@ def adversary_answer(dm: DistanceMatrix, state: GameState, w: int, policy: Adver
     the same ``dm`` proved.
     """
     engine, t = _checked(dm, state.candidates, w)
-    if policy.kind == "fixed-target":
-        if policy.target >= dm.n:
-            raise ValueError(f"target {policy.target} out of range")
-        return int(engine.labels[w, policy.target])
-    if policy.kind == "greedy-max-cell":
-        return engine.greedy_answer(t, w)
-    return engine.exact_answer(engine.mask_of(t), w)
+    if policy.kind == "fixed-target" and policy.target >= dm.n:
+        raise ValueError(f"target {policy.target} out of range")
+    return engine.answer(t, w, policy)
 
 
 def play_game(

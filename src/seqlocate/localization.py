@@ -265,20 +265,19 @@ def _column_blocks(n_queries: int, n_rows: int, cells: int):
 
 def _cell_counts(
     table: np.ndarray, rows: np.ndarray, base: np.ndarray | None, cells: int, c0: int, c1: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Cell sizes of the partition of ``rows`` under query columns c0..c1-1.
 
     The partition scored is the current class partition refined by one
     query: ``base[i]`` is ``class_rank * width`` for target ``rows[i]``
     (None when ``rows`` is one class) and ``cells`` is the number of
-    (class, label) cells per query.  Returns ``keys``, whose entry (i, j) is
-    the flat cell of ``rows[i]`` under query ``c0 + j``, and ``counts``, the
-    size of every flat cell, one ``cells``-long run per query.
+    (class, label) cells per query.  Returns the size of every flat cell,
+    one ``cells``-long run per query.
     """
     keys = np.add(table[rows, c0:c1], np.arange(0, (c1 - c0) * cells, cells))
     if base is not None:
         keys += base[:, None]
-    return keys, np.bincount(keys.ravel(), minlength=(c1 - c0) * cells)
+    return np.bincount(keys.ravel(), minlength=(c1 - c0) * cells)
 
 
 def _best_refinement(
@@ -289,27 +288,18 @@ def _best_refinement(
     Ties go to the smaller worst cell, then to the lower query index.  The
     table needs at least one query.  Returns (query, unresolved pairs).
     The unresolved pairs of a query are (sum of squared cell sizes -
-    |rows|) / 2.  The sum of squares runs over the cells or, when there
-    are more cells than targets, over the targets, each adding the size of
-    its cell.  The worst cell is computed only for the queries tied on the
-    fewest unresolved pairs.
+    |rows|) / 2.  The worst cell is computed only for the queries tied on
+    the fewest unresolved pairs.
     """
     best: tuple[int, int, int] | None = None
     for c0, c1 in _column_blocks(table.shape[1], rows.size, cells):
-        keys, counts = _cell_counts(table, rows, base, cells, c0, c1)
-        counts = counts.reshape(c1 - c0, cells)
-        if cells <= rows.size:  # sum over the cells, which are the fewer
-            sizes = None
-            squares = (counts * counts).sum(axis=1)
-        else:  # sum over the targets: each adds the size of its cell
-            sizes = np.take(counts, keys)
-            squares = sizes.sum(axis=0)
-        unresolved = (squares - rows.size) // 2
+        counts = _cell_counts(table, rows, base, cells, c0, c1).reshape(c1 - c0, cells)
+        unresolved = ((counts * counts).sum(axis=1) - rows.size) // 2
         low = int(unresolved.min())
         if best is not None and low > best[0]:
             continue
         tied = np.flatnonzero(unresolved == low)
-        worst = counts[tied].max(axis=1) if sizes is None else sizes[:, tied].max(axis=0)
+        worst = counts[tied].max(axis=1)
         j = int(np.argmin(worst))
         score = (low, int(worst[j]), c0 + int(tied[j]))
         if best is None or score < best:

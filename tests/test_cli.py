@@ -59,6 +59,11 @@ class TestGen:
         g = read_edge_list(out1.read_text())
         assert g.n == 30
 
+    def test_directory_output_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "gen", "--n", "10", "--p", "0.5", "--seed", "1", "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith("seed: 1\nseqlocate: ")
+
     def test_random_seed_announced(self, capsys):
         code, out, err = run_cli(capsys, "gen", "--n", "10", "--p", "0.5")
         assert code == 0
@@ -97,6 +102,12 @@ class TestMd:
         code, _, err = run_cli(capsys, "md", "--in", str(tmp_path / "nope.txt"))
         assert code == 2
         assert "seqlocate:" in err
+
+    def test_directory_input_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "md", "--in", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("seqlocate: ")
 
     def test_disconnected_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "disc.txt"
@@ -312,6 +323,33 @@ class TestSweep:
         monkeypatch.setenv("SEQLOCATE_THREADS", "0")
         code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--threads", "2")
         assert code == 0
+
+    def test_config_missing_fields_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": "md_smd_sweep", "n_values": [20]}))
+        code, _, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 2
+        assert "missing config fields" in err
+
+    def test_config_not_an_object_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[]")
+        code, _, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 2
+        assert "JSON object" in err
+
+    @pytest.mark.parametrize(
+        "caps", [{"exact_n_limt": 20}, {"step_cap": 0}, {"exact_n_limit": -1}], ids=str
+    )
+    def test_bad_caps_usage_error_before_any_output(self, capsys, tmp_path, caps):
+        path = self.write_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["caps"] = caps
+        path.write_text(json.dumps(cfg))
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert not (tmp_path / "out.csv").exists()
 
     def test_missing_config_usage_error(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "sweep", "--config", str(tmp_path / "nope.json"))

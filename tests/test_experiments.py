@@ -81,6 +81,47 @@ class TestConfig:
         cfg = base_config(tmp_path, p_or_q="6/N^0.5")
         assert cfg.p_or_q == "6/N^0.5"
 
+    def test_rejects_missing_fields(self):
+        with pytest.raises(ValueError, match=r"missing config fields: \['p_or_q', 'trials', 'base_seed'\]"):
+            ExperimentConfig.from_dict({"kind": "md_smd_sweep", "n_values": [20]})
+
+    def test_rejects_non_object(self, tmp_path):
+        with pytest.raises(ValueError, match="JSON object"):
+            ExperimentConfig.from_dict([["kind", "md_smd_sweep"]])
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="JSON object"):
+            ExperimentConfig.from_json_file(path)
+
+    @pytest.mark.parametrize(
+        "caps, message",
+        [
+            ({"exact_n_limt": 20}, "caps takes only the keys"),
+            ({"step_cap": 5, "bogus": 1}, "caps takes only the keys"),
+            ([], "caps takes only the keys"),
+            ({"step_cap": 0}, "step_cap must be null or >= 1"),
+            ({"step_cap": -3}, "step_cap must be null or >= 1"),
+            ({"exact_n_limit": -1}, "exact_n_limit must be >= 0"),
+        ],
+    )
+    def test_rejects_bad_caps(self, tmp_path, caps, message):
+        with pytest.raises(ValueError, match=message):
+            base_config(tmp_path, caps=caps)
+
+    def test_accepts_caps_at_their_limits(self, tmp_path):
+        cfg = base_config(tmp_path, caps={"step_cap": 1, "exact_n_limit": 0})
+        assert (cfg.step_cap, cfg.exact_n_limit) == (1, 0)
+        cfg = base_config(tmp_path, caps={"step_cap": None})
+        assert (cfg.step_cap, cfg.exact_n_limit) == (None, 0)
+
+    def test_threshold_sweep_rejects_rule_at_load(self, tmp_path):
+        with pytest.raises(ValueError, match="threshold sweeps take explicit q values"):
+            base_config(tmp_path, kind="threshold_sweep", p_or_q="6/N^0.5", caps={})
+
+    def test_rejects_negative_row_count_at_load(self, tmp_path):
+        with pytest.raises(ValueError, match="row count must be >= 0, got -1"):
+            base_config(tmp_path, kind="threshold_sweep", p_or_q=[0.5], caps={}, m_values=[2, -1])
+
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(
@@ -283,6 +324,25 @@ class TestRunExperiment:
         with open(summary_path_for(tmp_path / "out.csv"), newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["estimator"] == "maxgain-vs-greedy-adversary-lower-estimate"
+
+    def test_csv_headers_are_pinned(self, tmp_path):
+        run_experiment(base_config(tmp_path, caps={}))
+        assert (tmp_path / "out.csv").read_text().splitlines()[0] == (
+            "n,p,trial_index,seed,md_greedy_size,smd_estimate_steps,smd_exact,"
+            "bound_lower,bound_upper,md_predicted"
+        )
+        assert summary_path_for(tmp_path / "out.csv").read_text().splitlines()[0] == (
+            "n,p,trials,md_greedy_mean,md_greedy_stderr,smd_estimate_mean,"
+            "smd_estimate_stderr,bound_lower,bound_upper,md_predicted,estimator"
+        )
+        run_experiment(
+            base_config(tmp_path, kind="threshold_sweep", p_or_q=[0.5], caps={}, m_values=[4])
+        )
+        assert (tmp_path / "out.csv").read_text().splitlines()[0] == "n,q,m,trials,p_distinct"
+        run_experiment(base_config(tmp_path, kind="level_fractions", trials=1, caps={}))
+        assert (tmp_path / "out.csv").read_text().splitlines()[0] == (
+            "n,p,level,empirical_fraction,predicted_fraction,ratio_max_deviation"
+        )
 
     def test_byte_identical_across_thread_counts(self, tmp_path):
         cfg1 = base_config(tmp_path, n_values=[20, 25], trials=4, threads=1)
