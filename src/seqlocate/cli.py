@@ -87,13 +87,11 @@ def _cmd_md(args) -> int:
 
 def _cmd_smd(args) -> int:
     g = _read_graph(getattr(args, "in"))
-    if args.mode == "exact":
-        steps = game.smd_exact(g, cap=args.cap)
-        _emit({"smd": steps, "mode": args.mode})
-        return 0
-    if args.mode == "maxgain-worst":
-        steps = game.smd_maxgain_worstcase(g, cap=args.cap)
-        _emit({"smd": steps, "mode": args.mode})
+    if args.mode != "maxgain-greedy":
+        if args.transcript:
+            raise ValueError(f"--transcript needs --mode maxgain-greedy, not {args.mode}")
+        solver = game.smd_exact if args.mode == "exact" else game.smd_maxgain_worstcase
+        _emit({"smd": solver(g, cap=args.cap), "mode": args.mode})
         return 0
     dm = graphs.distance_matrix(g)
     transcript = game.play_game(
@@ -113,7 +111,7 @@ def _cmd_game(args) -> int:
     g = _read_graph(getattr(args, "in"))
     dm = graphs.distance_matrix(g)
     if not 0 <= args.target < g.n:
-        raise graphs.GraphFormatError(f"target {args.target} out of range for n={g.n}")
+        raise ValueError(f"target {args.target} out of range for n={g.n}")
     transcript = game.play_game(
         dm,
         game.Player1Policy.max_gain(),

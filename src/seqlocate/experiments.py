@@ -39,6 +39,16 @@ _CAP_KEYS = ("step_cap", "exact_n_limit")
 _P_RULE = re.compile(r"^\s*([0-9.eE+-]+)\s*/\s*N\^\s*([0-9.eE+-]+)\s*$")
 
 
+def _check_ints(what: str, values) -> None:
+    """ValueError unless ``values`` is a list of ints, naming ``what`` and
+    the first entry that is not one; a bool (JSON true or false) is not."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list, got {values!r}")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"{what} must be an integer, got {v!r}")
+
+
 class ExperimentError(RuntimeError):
     """A sweep cell could not be completed (e.g. persistent disconnection)."""
 
@@ -70,10 +80,14 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        kind = self.kind.lower().replace("-", "_")
+        kind = self.kind.lower().replace("-", "_") if isinstance(self.kind, str) else None
         if kind not in _KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         self.kind = kind
+        for name in ("trials", "base_seed", "sources_per_graph", "threads"):
+            _check_ints(name, [getattr(self, name)])
+        _check_ints("n_values", self.n_values)
+        _check_ints("m_values", self.m_values or [])
         if not self.n_values or any(n < 3 for n in self.n_values):
             raise ValueError("n_values must be nonempty with every n >= 3")
         if self.trials < 1:
@@ -94,6 +108,8 @@ class ExperimentConfig:
                 raise ValueError(f"row count must be >= 0, got {m}")
         if not isinstance(self.caps, dict) or not set(self.caps) <= set(_CAP_KEYS):
             raise ValueError(f"caps takes only the keys {list(_CAP_KEYS)}, got {self.caps!r}")
+        _check_ints("step_cap", [] if self.step_cap is None else [self.step_cap])
+        _check_ints("exact_n_limit", [self.exact_n_limit])
         if self.step_cap is not None and self.step_cap < 1:
             raise ValueError(f"step_cap must be null or >= 1, got {self.step_cap}")
         if self.exact_n_limit < 0:
@@ -243,11 +259,11 @@ def _map_ordered(fn, tasks, threads: int):
         return list(pool.map(fn, tasks))
 
 
-def _sample_connected(n: int, p: float, rng: np.random.Generator) -> tuple[Graph, int]:
-    for attempt in range(_MAX_RESAMPLES + 1):
+def _sample_connected(n: int, p: float, rng: np.random.Generator) -> Graph:
+    for _ in range(_MAX_RESAMPLES + 1):
         g = sample_gnp(n, p, rng)
         if is_connected(g):
-            return g, attempt
+            return g
     raise ExperimentError(
         f"cell (n={n}, p={p}): disconnected after {_MAX_RESAMPLES} resamples"
     )
@@ -281,7 +297,7 @@ def run_md_smd_sweep(cfg: ExperimentConfig) -> tuple[list[TrialRecord], list[Sum
         seed = derive_trial_seed(cfg.base_seed, "md_smd", n, p, trial)
         rng = np.random.default_rng(seed)
         started = perf_counter()
-        g, _ = _sample_connected(n, p, rng)
+        g = _sample_connected(n, p, rng)
         dm = distance_matrix(g)
         greedy = md_greedy(g, dm=dm)
         transcript = play_game(
@@ -394,7 +410,7 @@ def run_level_fractions(cfg: ExperimentConfig) -> list[LevelFractionRow]:
         for trial in range(cfg.trials):
             seed = derive_trial_seed(cfg.base_seed, "levels", n, p, trial)
             rng = np.random.default_rng(seed)
-            g, _ = _sample_connected(n, p, rng)
+            g = _sample_connected(n, p, rng)
             k = min(cfg.sources_per_graph, n)
             sources = np.sort(rng.choice(n, size=k, replace=False))
             dist = distances_from_sources(g, sources)

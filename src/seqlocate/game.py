@@ -15,13 +15,16 @@ game (labels = hop distances) and the binary-matrix game.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
 
 import numpy as np
 
 from .graphs import DistanceMatrix, Graph, distance_matrix
-from .localization import CapExceededError, QuerySet, _cell_counts, _check_cap, _column_blocks, _label_table
+from .localization import (
+    CapExceededError, QuerySet, _bitsets, _cell_counts, _check_cap, _column_blocks, _label_table
+)
 
 _P1_KINDS = ("max-gain", "exact-minimax", "fixed-sequence")
 _ADV_KINDS = ("fixed-target", "greedy-max-cell", "exact-minimax")
@@ -164,7 +167,6 @@ class _LabelGameEngine:
             raise ValueError("label table must be 2-d and nonempty")
         self.labels = labels
         self.nq, self.nt = labels.shape
-        self._cells: list[dict[int, int]] | None = None
         self._compact: tuple[np.ndarray, int] | None = None
         self._worst_memo: dict[int, int] = {}
         self._lo: dict[int, int] = {}  # proven lower bounds of the game value
@@ -227,42 +229,30 @@ class _LabelGameEngine:
     def full_mask(self) -> int:
         return (1 << self.nt) - 1
 
-    def cell_bitmasks(self) -> list[dict[int, int]]:
-        if self._cells is None:
+    def _search_tables(self) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+        """Cell masks per query and the counting-bound tables of the search.
+
+        ``cells[w]`` holds query w's cells as bitsets, ordered by their
+        lowest target.  With k the most cells any query makes, ``reach[e]``
+        = k**e is the most candidates that e queries can tell apart, and
+        ``need[s]`` is the fewest queries that can resolve s candidates,
+        the least e with k**e >= s.
+        """
+        if self._search is None:
             if self.nt > _BITSET_LIMIT:
                 raise ValueError(
                     f"exact game machinery handles at most {_BITSET_LIMIT} targets, got {self.nt}"
                 )
-            cells: list[dict[int, int]] = []
-            for w in range(self.nq):
-                row = self.labels[w]
-                d: dict[int, int] = {}
-                for t in range(self.nt):
-                    lab = int(row[t])
-                    d[lab] = d.get(lab, 0) | (1 << t)
-                cells.append(d)
-            self._cells = cells
-        return self._cells
-
-    def _search_tables(self) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
-        """Cell masks per query and the counting-bound tables of the search.
-
-        With k the most cells any query makes, ``reach[e]`` = k**e is the
-        most candidates that e queries can tell apart, and ``need[s]`` is
-        the fewest queries that can resolve s candidates, the least e with
-        k**e >= s.
-        """
-        if self._search is None:
-            cell_lists = [tuple(d.values()) for d in self.cell_bitmasks()]
-            k = max(len(c) for c in cell_lists)
+            same = self.labels[:, :, None] == self.labels[:, None, :]
+            # a cell is listed at its lowest target, the first with its label
+            w, low = np.nonzero(same.argmax(axis=1) == np.arange(self.nt))
+            masks = _bitsets(same[w, low])
+            ends = np.cumsum(np.bincount(w, minlength=self.nq)).tolist()
+            cells = [tuple(masks[a:b]) for a, b in zip([0] + ends, ends)]
+            k = max(map(len, cells))
             reach = [k**e for e in range(self.nt + 1)]
-            need = [0] * (self.nt + 1)
-            e = 0
-            for s in range(2, self.nt + 1):
-                while reach[e] < s:
-                    e += 1
-                need[s] = e
-            self._search = cell_lists, reach, need
+            need = [bisect_left(reach, s) for s in range(self.nt + 1)]
+            self._search = cells, reach, need
         return self._search
 
     def splits(self, m: int) -> list[tuple[int, int, list[int]]]:
@@ -271,8 +261,8 @@ class _LabelGameEngine:
         One entry (largest cell size, query, nonempty cells) per query with
         at least two nonempty cells, sorted by largest cell and then by
         query index.  The first cell is a largest one: the first of them in
-        the order of ``cell_bitmasks``, which lists a query's cells by their
-        lowest target.  The search removes what lies outside it.  Raises
+        the order of ``_search_tables``, which lists a query's cells by
+        their lowest target.  The search removes what lies outside it.  Raises
         ValueError when no query splits.
         """
         size = m.bit_count()
@@ -437,19 +427,11 @@ class _LabelGameEngine:
 
     def exact_answer(self, mask: int, w: int) -> int:
         """Label maximizing the remaining game value; smallest on ties."""
-        best_l: int | None = None
-        best_v = -1
-        for lab in sorted(self.cell_bitmasks()[w]):
-            cell = mask & self.cell_bitmasks()[w][lab]
-            if not cell:
-                continue
-            v = self.game_value(cell)
-            if v > best_v:
-                best_v = v
-                best_l = lab
-        if best_l is None:
-            raise ValueError("no consistent answer")  # pragma: no cover
-        return best_l
+        row = self.labels[w]  # a cell's label is its lowest target's
+        cells = self._search_tables()[0][w]
+        labelled = sorted((int(row[(cm & -cm).bit_length() - 1]), mask & cm) for cm in cells)
+        _, label = max((self.game_value(cell), -lab) for lab, cell in labelled if cell)
+        return -label
 
     def maxgain_worst_value(self, mask: int | None = None) -> int:
         """Steps needed when player 1 is pinned to MAX-GAIN and the
@@ -492,10 +474,9 @@ class _LabelGameEngine:
         return walk(mask)
 
     def mask_of(self, t: np.ndarray) -> int:
-        m = 0
-        for j in t:
-            m |= 1 << int(j)
-        return m
+        member = np.zeros((1, self.nt), dtype=bool)
+        member[0, t] = True
+        return _bitsets(member)[0]
 
 
 def _play_on_labels(

@@ -87,6 +87,24 @@ def _check_cap(cap: int | None) -> None:
         raise ValueError(f"cap must be >= 0, got {cap}")
 
 
+def _bitsets(rows: np.ndarray) -> list[int]:
+    """Row i of the boolean 2-d array ``rows`` as an int with bit j set
+    where ``rows[i, j]`` is set, for any row width.
+
+    Rows are padded to whole 64-bit words and packed in one flat
+    ``packbits`` call, several times faster than packing along an axis.
+    """
+    n_rows, width = rows.shape
+    n_bytes = 8 * max(1, -(-width // 64))
+    padded = np.zeros((n_rows, 8 * n_bytes), np.uint8)
+    padded[:, :width] = rows
+    packed = np.packbits(padded, bitorder="little")
+    if n_bytes == 8:
+        return packed.view("<u8").tolist()
+    raw = packed.tobytes()
+    return [int.from_bytes(raw[i : i + n_bytes], "little") for i in range(0, len(raw), n_bytes)]
+
+
 def _scarcest_first(split: np.ndarray) -> tuple[list[int], list[int]]:
     """The hitting-set form of the (queries x pairs) boolean table ``split``,
     pairs renumbered scarcest first.
@@ -96,24 +114,8 @@ def _scarcest_first(split: np.ndarray) -> tuple[list[int], list[int]]:
     that separates pair j.  Pair 0 is separated by the fewest queries; ties
     keep the column order of ``split``.
     """
-    n_queries, n_pairs = split.shape
-    n_bytes = (n_pairs + 7) // 8
-    order = np.argsort(split.sum(axis=0, dtype=np.uint16), kind="stable")
-    # Flat packbits is several times faster than packing along an axis, so
-    # a query's row is padded to whole bytes and a pair's to whole words.
-    table = np.zeros((n_queries, 8 * n_bytes), np.uint8)
-    table[:, :n_pairs] = split[:, order]
-    rows = np.packbits(table, bitorder="little").tobytes()
-    covers = [int.from_bytes(rows[i * n_bytes : (i + 1) * n_bytes], "little") for i in range(n_queries)]
-    words = -(-n_queries // 64)
-    tall = np.zeros((n_pairs, 64 * words), np.uint8)
-    tall[:, :n_queries] = table[:, :n_pairs].T
-    packed = np.packbits(tall, bitorder="little")
-    if words == 1:
-        supports = packed.view(np.uint64).tolist()
-    else:
-        supports = [int.from_bytes(col.tobytes(), "little") for col in packed.reshape(n_pairs, 8 * words)]
-    return covers, supports
+    table = split[:, np.argsort(split.sum(axis=0, dtype=np.uint16), kind="stable")]
+    return _bitsets(table), _bitsets(table.T)
 
 
 def _min_separating_subset(split: np.ndarray, cap: int) -> tuple[int, tuple[int, ...]] | None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from seqlocate import Graph, is_connected, sample_gnp
 
 ACCEPTANCE_RESULTS: list[str] = []
@@ -16,6 +18,19 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_RESULTS:
             terminalreporter.write_line(line)
+
+
+def reference_cells(labels: np.ndarray) -> list[dict[int, int]]:
+    """Each query's cells as {label: bitset of the targets with that label},
+    labels in order of their lowest target, by a loop over queries and
+    targets.  The oracle for the engine's packed cell masks."""
+    cells = []
+    for row in labels:
+        d: dict[int, int] = {}
+        for t, lab in enumerate(map(int, row)):
+            d[lab] = d.get(lab, 0) | (1 << t)
+        cells.append(d)
+    return cells
 
 
 def path_graph(n: int) -> Graph:

@@ -138,6 +138,13 @@ class TestSmd:
         assert payload["smd"] == len(payload["transcript"]) == 2
         assert payload["transcript"][0] == {"step": 1, "query": 0, "answer": 1, "candidates": 2}
 
+    @pytest.mark.parametrize("mode", ["exact", "maxgain-worst"])
+    def test_transcript_outside_greedy_is_usage_error(self, capsys, cycle_file, mode):
+        code, out, err = run_cli(capsys, "smd", "--in", cycle_file, "--mode", mode, "--transcript")
+        assert code == 2
+        assert out == ""
+        assert f"--transcript needs --mode maxgain-greedy, not {mode}" in err
+
     def test_negative_cap_is_usage_error(self, capsys, six_cycle_file):
         code, _, err = run_cli(
             capsys, "smd", "--in", six_cycle_file, "--mode", "exact", "--cap", "-1"
@@ -161,9 +168,12 @@ class TestGame:
         ]
 
     def test_target_out_of_range(self, capsys, cycle_file):
-        code, out, _ = run_cli(capsys, "game", "--in", cycle_file, "--target", "9")
-        assert code == 3
-        assert "out of range" in json.loads(out)["error"]
+        """A target outside the graph is a bad flag (exit 2); the file is fine."""
+        for target in ("9", "4", "-1"):
+            code, out, err = run_cli(capsys, "game", "--in", cycle_file, "--target", target)
+            assert code == 2
+            assert out == ""
+            assert err == f"seqlocate: target {target} out of range for n=4\n"
 
 
 class TestParams:
@@ -349,6 +359,29 @@ class TestSweep:
         code, out, _ = run_cli(capsys, "sweep", "--config", str(path))
         assert code == 2
         assert out == ""
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("trials", "3"),
+            ("n_values", "20"),
+            ("caps", {"step_cap": "5"}),
+            ("kind", 5),
+            ("base_seed", "x"),
+            ("threads", 2.5),
+        ],
+        ids=str,
+    )
+    def test_wrong_json_type_usage_error_before_any_output(self, capsys, tmp_path, field, value):
+        path = self.write_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg[field] = value
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("seqlocate: ")
         assert not (tmp_path / "out.csv").exists()
 
     def test_missing_config_usage_error(self, capsys, tmp_path):

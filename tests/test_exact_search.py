@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import complete_graph, criterion_1_graphs, cycle_graph, path_graph, star_graph
+from conftest import complete_graph, criterion_1_graphs, cycle_graph, path_graph, reference_cells, star_graph
 
 from seqlocate import (
     AdversaryPolicy,
@@ -41,7 +41,7 @@ from seqlocate import (
 )
 from seqlocate import game
 from seqlocate.game import _LabelGameEngine, _play_on_labels
-from seqlocate.localization import _min_separating_subset, _smallest_separating_set
+from seqlocate.localization import _bitsets, _min_separating_subset, _smallest_separating_set
 
 
 class ReferenceEngine(_LabelGameEngine):
@@ -50,11 +50,12 @@ class ReferenceEngine(_LabelGameEngine):
     def __init__(self, labels: np.ndarray) -> None:
         super().__init__(labels)
         self._value_memo: dict[int, int] = {}
+        self._reference_cells = reference_cells(self.labels)
 
     def _split(self, mask: int, w: int) -> list[int] | None:
         """Nonempty cells of mask under w, or None when w does not split."""
         out = []
-        for cm in self.cell_bitmasks()[w].values():
+        for cm in self._reference_cells[w].values():
             cell = mask & cm
             if cell == mask:
                 return None
@@ -110,8 +111,8 @@ class ReferenceEngine(_LabelGameEngine):
     def exact_answer(self, mask: int, w: int) -> int:
         best_l: int | None = None
         best_v = -1
-        for lab in sorted(self.cell_bitmasks()[w]):
-            cell = mask & self.cell_bitmasks()[w][lab]
+        for lab in sorted(self._reference_cells[w]):
+            cell = mask & self._reference_cells[w][lab]
             if not cell:
                 continue
             v = self.minimax_value(cell)
@@ -348,6 +349,16 @@ def test_non_separable_table_raises_like_reference(labels):
         _LabelGameEngine(labels).exact_p1_choice((1 << labels.shape[1]) - 1)
 
 
+def test_no_splitting_query_raises_value_error():
+    """A table where every query makes one cell has no splitting query;
+    the counting bound over one cell per query must not index past its
+    table."""
+    engine = _LabelGameEngine(np.zeros((2, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match="admits no splitting query"):
+        engine.exact_value()
+    assert not engine.solve(engine.full_mask, 3)
+
+
 def test_counting_bound_is_exact_at_its_edge():
     """On K_40 every query makes 2 cells: 2**5 < 40 fails before any
     expansion, 2**6 >= 40 has to search (and fails: the value is 39)."""
@@ -530,3 +541,61 @@ def test_subset_search_small_cases(masks, full, cap, expected):
     later siblings."""
     assert index_order_min_separating_subset(masks, full, cap) == expected
     assert _search(masks, full, cap) == expected
+
+
+@pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 128, 129])
+@pytest.mark.parametrize("n_rows", [0, 1, 5])
+def test_bitsets_match_loop(width, n_rows):
+    """Row i packs to the int with bit j set where column j is, at word
+    edges and beyond, for C-ordered rows and for Fortran-ordered ones (a
+    transpose, as the supports of ``_scarcest_first`` are)."""
+    rng = np.random.default_rng(1000 * width + n_rows)
+    rows = rng.random((n_rows, width)) < 0.5
+    if n_rows:
+        rows[0] = True  # sets the top bit of each word
+    for table in (rows, rows.T.copy().T):
+        expected = [sum(1 << j for j in range(width) if row[j]) for row in table]
+        assert _bitsets(table) == expected
+
+
+def test_bitset_limit_and_wide_masks():
+    """The exact game refuses more than 64 targets with its own message,
+    while a candidate mask has no width limit."""
+    engine = _LabelGameEngine(distance_matrix(path_graph(65)).d)
+    with pytest.raises(ValueError, match="handles at most 64 targets, got 65"):
+        engine.exact_value()
+    assert engine.mask_of(np.array([0, 64])) == 1 | 1 << 64
+
+
+def _connected_table(n: int, p: float, seed: int) -> np.ndarray:
+    g = sample_gnp(n, p, seed)
+    assert is_connected(g)
+    return distance_matrix(g).d
+
+
+def _distinct_bits(m: int, n: int, q: float, seed: int) -> np.ndarray:
+    a = sample_bernoulli(m, n, q, seed)
+    assert columns_pairwise_distinct(a)
+    return a.bits
+
+
+@pytest.mark.parametrize(
+    "make, args, value, expanded",
+    [
+        (_connected_table, (24, 0.3, 2), 4, 23),
+        (_connected_table, (30, 0.5, 4), 4, 34),
+        (_connected_table, (32, 0.3, 3), 4, 36),
+        (_connected_table, (40, 0.2, 5), 4, 98),
+        (_distinct_bits, (14, 64, 0.5, 2), 6, 66),
+        (_distinct_bits, (16, 32, 0.5, 0), 5, 38),
+        (_distinct_bits, (20, 40, 0.3, 0), 6, 40),
+    ],
+)
+def test_expanded_counts_are_pinned(make, args, value, expanded):
+    """Game value and the number of masks the decision search expanded, as
+    recorded before the cell masks were packed by numpy.  The packing bound
+    reads each query's first largest cell, so a change in cell order would
+    show in the count even where the value stays."""
+    engine = _LabelGameEngine(make(*args))
+    assert engine.exact_value() == value
+    assert engine.expanded == expanded

@@ -108,6 +108,28 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             base_config(tmp_path, caps=caps)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"trials": "3"}, "trials must be an integer, got '3'"),
+            ({"trials": True}, "trials must be an integer, got True"),
+            ({"base_seed": "x"}, "base_seed must be an integer, got 'x'"),
+            ({"threads": 2.5}, "threads must be an integer, got 2.5"),
+            ({"sources_per_graph": None}, "sources_per_graph must be an integer, got None"),
+            ({"n_values": "20"}, "n_values must be a list, got '20'"),
+            ({"n_values": [20, 30.0]}, "n_values must be an integer, got 30.0"),
+            ({"m_values": [2, "8"]}, "m_values must be an integer, got '8'"),
+            ({"caps": {"step_cap": "5"}}, "step_cap must be an integer, got '5'"),
+            ({"caps": {"exact_n_limit": None}}, "exact_n_limit must be an integer, got None"),
+            ({"caps": {"exact_n_limit": False}}, "exact_n_limit must be an integer, got False"),
+            ({"kind": 5}, "unknown experiment kind 5"),
+        ],
+        ids=str,
+    )
+    def test_rejects_wrong_json_types_at_load(self, tmp_path, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            base_config(tmp_path, **overrides)
+
     def test_accepts_caps_at_their_limits(self, tmp_path):
         cfg = base_config(tmp_path, caps={"step_cap": 1, "exact_n_limit": 0})
         assert (cfg.step_cap, cfg.exact_n_limit) == (1, 0)

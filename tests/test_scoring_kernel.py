@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import criterion_1_graphs, cycle_graph, path_graph, star_graph
+from conftest import criterion_1_graphs, cycle_graph, path_graph, reference_cells, star_graph
 
 from seqlocate import (
     AdversaryPolicy,
@@ -404,16 +404,17 @@ def reference_f_separator_exists(dm, w_set, gamma: float, f_value: float) -> tup
     return False, None
 
 
-def reference_worst_value(engine: _LabelGameEngine, mask: int) -> int:
-    """MAX-GAIN worst case: per mask, scan every query's cells for the
-    smallest largest cell (lowest index on ties), then split on it."""
+def reference_worst_value(cells: list[dict[int, int]], mask: int) -> int:
+    """MAX-GAIN worst case over the ``reference_cells`` of a table: per
+    mask, scan every query's cells for the smallest largest cell (lowest
+    index on ties), then split on it."""
 
     def choice(m: int) -> tuple[int, int]:
         best_w = -1
         best_s = m.bit_count() + 1
-        for w in range(engine.nq):
+        for w, query_cells in enumerate(cells):
             worst = 0
-            for cm in engine.cell_bitmasks()[w].values():
+            for cm in query_cells.values():
                 c = (m & cm).bit_count()
                 if c > worst:
                     worst = c
@@ -424,7 +425,7 @@ def reference_worst_value(engine: _LabelGameEngine, mask: int) -> int:
 
     def split(m: int, w: int) -> list[int] | None:
         out = []
-        for cm in engine.cell_bitmasks()[w].values():
+        for cm in cells[w].values():
             cell = m & cm
             if cell == m:
                 return None
@@ -533,6 +534,14 @@ def bitset_tables():
     return tables
 
 
+def test_search_cells_match_reference_in_order():
+    """The engine's packed cell masks are the reference loop's, query by
+    query and in the same order (by lowest target)."""
+    for labels in bitset_tables():
+        expected = [tuple(cells.values()) for cells in reference_cells(labels)]
+        assert _LabelGameEngine(labels)._search_tables()[0] == expected
+
+
 def test_worst_walk_matches_reference():
     """The engine's MAX-GAIN worst case equals the old scan's, with
     the same error when no query splits, on all targets and on random
@@ -540,11 +549,11 @@ def test_worst_walk_matches_reference():
     errors = 0
     for labels in bitset_tables():
         nt = labels.shape[1]
-        engine, reference = _LabelGameEngine(labels), _LabelGameEngine(labels)
+        engine, cells = _LabelGameEngine(labels), reference_cells(labels)
         rng = np.random.default_rng(nt)
         for t in [np.arange(nt)] + [rng.choice(nt, size=int(rng.integers(1, nt + 1)), replace=False) for _ in range(3)]:
             mask = engine.mask_of(t)
-            expected = result(reference_worst_value, reference, mask)
+            expected = result(reference_worst_value, cells, mask)
             assert result(engine.maxgain_worst_value, mask) == expected
             errors += expected[0] != "ok"
     assert errors > 0  # some 14x64 matrices have equal columns
