@@ -72,6 +72,20 @@ class BoundPrediction:
     f_eta: float
 
 
+def _level_masses(n: int, p: float, i: int) -> tuple[float | None, float, float]:
+    """The two-level model at regime index ``i``: (c, mass of level i+1,
+    mass of level i+2).  For i = 0 the levels are 1 and 2 with masses p and
+    1 - p, and c is None."""
+    if i == 0:
+        return None, p, 1.0 - p
+    delta = n * p
+    c = delta ** (i + 1) / n
+    # exp(-c) underflows to 0 once c > ~745 (e.g. n=122083, p=0.078125):
+    # level i+2 is then empty to double precision, and the split stays well
+    # defined with a zero far mass.
+    return c, 1.0 - math.exp(-c) - delta**i / n, math.exp(-c)
+
+
 def er_parameters(n: int, p: float, force_i: int | None = None) -> ErParameters:
     """Compute the level structure and decay parameters for G(n, p).
 
@@ -107,17 +121,7 @@ def er_parameters(n: int, p: float, force_i: int | None = None) -> ErParameters:
             i -= 1
         while delta ** (i + 1) <= threshold:
             i += 1
-    if i == 0:
-        c = None
-        mass_near = p
-        mass_far = 1.0 - p
-    else:
-        c = delta ** (i + 1) / n
-        mass_near = 1.0 - math.exp(-c) - delta**i / n  # level i+1
-        # exp(-c) underflows to 0 once c > ~745 (e.g. n=122083, p=0.078125):
-        # level i+2 is then empty to double precision, and the split below
-        # stays well defined with a zero far mass.
-        mass_far = math.exp(-c)  # level i+2
+    c, mass_near, mass_far = _level_masses(n, p, i)
     # A nonpositive near mass means the index puts more than all the mass
     # below level i+1: the two-level decay model does not apply.
     degenerate = mass_near <= 0.0
@@ -186,21 +190,19 @@ def bound_prediction(params: ErParameters) -> BoundPrediction:
 def predicted_level_fractions(params: ErParameters) -> dict[int, float]:
     """Expected fraction of nodes at each distance from a typical node.
 
-    For i >= 1 the map covers levels 1..i+2: geometric growth delta**l/n up
-    to level i, then the two dominant masses.  For i = 0 distances are
-    {1, 2} with masses p and 1 - p.  Fractions sum to 1 up to a
+    The map covers levels 1..i+2: geometric growth delta**l/n up to level
+    i, then the two masses of ``_level_masses`` (for i = 0 only levels 1
+    and 2, masses p and 1 - p).  Fractions sum to 1 up to a
     2*delta**(i-1)/n truncation error.
     """
     if not params.regime_valid:
         raise ValueError(
             f"(n={params.n}, p={params.p}) is outside the analysis window"
         )
-    if params.i == 0:
-        return {1: params.p, 2: 1.0 - params.p}
     fractions = {l: params.delta**l / params.n for l in range(1, params.i + 1)}
-    tail = math.exp(-params.c)
-    fractions[params.i + 1] = 1.0 - tail - params.delta**params.i / params.n
-    fractions[params.i + 2] = tail
+    _, fractions[params.i + 1], fractions[params.i + 2] = _level_masses(
+        params.n, params.p, params.i
+    )
     return fractions
 
 
@@ -216,7 +218,7 @@ def sample_gnp(n: int, p: float, seed) -> Graph:
         raise ValueError(f"node count must be positive, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"need 0 <= p <= 1, got {p}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     total = n * (n - 1) // 2
     if total == 0 or p == 0.0:
         lin = np.empty(0, dtype=np.int64)

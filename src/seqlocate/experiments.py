@@ -57,12 +57,12 @@ class ExperimentError(RuntimeError):
 class ExperimentConfig:
     """One experiment: a grid of cells plus execution knobs.
 
-    ``p_or_q`` is either a list of values applied to every n, or a
+    ``p_or_q`` is either a list of numbers applied to every n, or a
     parametric rule string "c/N^a" evaluated per n (not for threshold
-    sweeps).  ``caps`` takes only "step_cap" (per-game step limit, None or
-    >= 1; default n) and "exact_n_limit" (run the exact game value as well
-    for n at or below it, >= 0; default 0, off).  Every check runs here, so
-    a bad config fails before any cell runs.
+    sweeps); ``output_path`` is a string.  ``caps`` takes only "step_cap"
+    (per-game step limit, None or >= 1; default n) and "exact_n_limit" (run
+    the exact game value as well for n at or below it, >= 0; default 0,
+    off).  Every check runs here, so a bad config fails before any cell runs.
     ``m_values`` (threshold sweeps) defaults to a grid straddling the
     predicted threshold.  ``sources_per_graph`` applies to level-fraction
     runs.
@@ -101,8 +101,14 @@ class ExperimentConfig:
                 raise ValueError(f"bad p rule {self.p_or_q!r}, expected 'c/N^a'")
             if self.kind == KIND_THRESHOLD_SWEEP:
                 raise ValueError("threshold sweeps take explicit q values, not a rule")
-        elif not self.p_or_q:
-            raise ValueError("p_or_q must be nonempty")
+        elif not isinstance(self.p_or_q, list) or not self.p_or_q:
+            raise ValueError(f"p_or_q must be a rule string or a nonempty list, got {self.p_or_q!r}")
+        else:
+            for v in self.p_or_q:
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise ValueError(f"p_or_q entries must be numbers, got {v!r}")
+        if not isinstance(self.output_path, str):
+            raise ValueError(f"output_path must be a string, got {self.output_path!r}")
         for m in self.m_values or ():
             if m < 0:
                 raise ValueError(f"row count must be >= 0, got {m}")
@@ -394,7 +400,9 @@ def run_level_fractions(cfg: ExperimentConfig) -> list[LevelFractionRow]:
     Per cell: ``trials`` connected graphs, ``sources_per_graph`` distinct
     sources each; fractions aggregate over all source rows.  For levels at
     or below the regime index the row also carries the worst relative
-    deviation of the level-set size from its predicted delta**l.
+    deviation of the level-set size from its predicted delta**l.  A cell
+    outside the analysis window (``regime_valid`` false) leaves both
+    prediction columns empty.
     """
     if cfg.kind != KIND_LEVEL_FRACTIONS:
         raise ValueError(f"config kind is {cfg.kind!r}")
@@ -403,7 +411,8 @@ def run_level_fractions(cfg: ExperimentConfig) -> list[LevelFractionRow]:
     def run_cell(cell) -> list[LevelFractionRow]:
         n, p = cell
         params = er_parameters(n, p)
-        predicted = predicted_level_fractions(params)
+        predicted = predicted_level_fractions(params) if params.regime_valid else {}
+        tree_levels = range(1, params.i + 1) if params.regime_valid else ()
         counts: dict[int, int] = {}
         total = 0
         worst_dev: dict[int, float] = {}
@@ -418,7 +427,7 @@ def run_level_fractions(cfg: ExperimentConfig) -> list[LevelFractionRow]:
             for l, cnt in zip(levels, level_counts):
                 counts[int(l)] = counts.get(int(l), 0) + int(cnt)
             total += dist.size
-            for l in range(1, params.i + 1):
+            for l in tree_levels:
                 sizes = (dist == l).sum(axis=1)
                 dev = float(np.abs(sizes / params.delta**l - 1.0).max())
                 worst_dev[l] = max(worst_dev.get(l, 0.0), dev)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 
 import numpy as np
@@ -140,13 +140,7 @@ class Transcript:
         return [self.initial_candidates] + [s.candidates for s in self.steps]
 
     def to_json_lines(self) -> str:
-        lines = [
-            json.dumps(
-                {"step": s.step, "query": s.query, "answer": s.answer, "candidates": s.candidates}
-            )
-            for s in self.steps
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(json.dumps(asdict(s)) + "\n" for s in self.steps)
 
 
 class _LabelGameEngine:

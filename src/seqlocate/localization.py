@@ -76,9 +76,15 @@ def is_resolving(dm: DistanceMatrix, r: QuerySet) -> bool:
         return dm.n <= 1
     if rows.max() >= dm.n:
         raise IndexError("query node out of range")
-    signatures = dm.d[rows]
-    signatures = signatures[:, np.lexsort(signatures)]  # equal columns end up adjacent
-    return bool((signatures[:, 1:] != signatures[:, :-1]).any(axis=0).all())
+    return _equal_pairs(dm.d[rows]) == 0
+
+
+def _equal_pairs(table: np.ndarray) -> int:
+    """Unordered pairs of equal columns in the 2-d ``table`` (at least one
+    row): the target pairs that its rows, read as queries, do not separate."""
+    ordered = table[:, np.lexsort(table)]  # equal columns end up adjacent
+    starts = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    return _unresolved_pairs(np.concatenate(([0], np.cumsum(starts))))
 
 
 def _check_cap(cap: int | None) -> None:

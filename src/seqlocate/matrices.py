@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .game import AdversaryPolicy, Player1Policy, Transcript, _LabelGameEngine, _play_on_labels
-from .localization import _greedy_refinement, _label_table, _smallest_separating_set
+from .localization import _equal_pairs, _greedy_refinement, _label_table, _smallest_separating_set
 
 
 class UndefinedQueryComplexityError(RuntimeError):
@@ -58,48 +58,28 @@ def sample_bernoulli(m: int, n: int, q: float, seed) -> BinaryMatrix:
         raise ValueError("matrix dimensions must be positive")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"need 0 <= q <= 1, got {q}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     bits = (rng.random((m, n)) < q).astype(np.uint8)
     return BinaryMatrix(m, n, bits)
-
-
-def _packed_columns(a: BinaryMatrix) -> np.ndarray:
-    """Columns packed into 64-bit words, one row per column."""
-    packed = np.packbits(a.bits, axis=0)  # ceil(m/8) x n bytes
-    cols = np.ascontiguousarray(packed.T)
-    pad = (-cols.shape[1]) % 8
-    if pad:
-        cols = np.concatenate([cols, np.zeros((cols.shape[0], pad), dtype=np.uint8)], axis=1)
-    return cols.view(np.uint64)
 
 
 def collision_stats(a: BinaryMatrix) -> CollisionStats:
     """Column collision counts: equal pairs, all-zero and all-one columns.
 
-    Columns are compared as packed 64-bit words after a lexicographic
-    sort, so the count runs in about n log n word operations; dimension
-    sweeps at n in the thousands rely on this.
+    Equal pairs are counted by ``_equal_pairs``, the rule that
+    ``is_resolving`` applies to distance rows: one sort of the columns, not
+    a comparison of every pair.
     """
-    keys = _packed_columns(a)
-    order = np.lexsort(keys.T[::-1])
-    sorted_keys = keys[order]
-    if sorted_keys.shape[0] > 1:
-        boundary = np.nonzero((sorted_keys[1:] != sorted_keys[:-1]).any(axis=1))[0]
-        run_edges = np.concatenate([[0], boundary + 1, [sorted_keys.shape[0]]])
-        runs = np.diff(run_edges)
-    else:
-        runs = np.array([1])
-    x_pairs = int((runs * (runs - 1) // 2).sum())
     col_sums = a.bits.sum(axis=0)
     return CollisionStats(
-        x_pairs=x_pairs,
+        x_pairs=_equal_pairs(a.bits),
         z_zero=int((col_sums == 0).sum()),
         z_one=int((col_sums == a.m).sum()),
     )
 
 
 def columns_pairwise_distinct(a: BinaryMatrix) -> bool:
-    return collision_stats(a).x_pairs == 0
+    return _equal_pairs(a.bits) == 0
 
 
 def qc_threshold(n: int, q: float) -> float:

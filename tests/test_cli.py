@@ -370,6 +370,8 @@ class TestSweep:
             ("kind", 5),
             ("base_seed", "x"),
             ("threads", 2.5),
+            ("p_or_q", 5),
+            ("output_path", None),
         ],
         ids=str,
     )

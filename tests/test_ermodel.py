@@ -179,6 +179,23 @@ class TestLevelFractions:
         assert fr[3] == pytest.approx(0.1353352832366127, rel=1e-15)
         assert sum(fr.values()) == pytest.approx(1.0, abs=1e-12)
 
+    def test_last_two_levels_give_the_gammas(self):
+        # levels i+1 and i+2 are the masses that gamma_smd and gamma_md are built from
+        indices = set()
+        for n in (50, 300, 1000, 5000, 100_000):
+            for p in np.geomspace(2e-4, 0.9, 40).tolist():
+                par = er_parameters(n, p)
+                if not par.regime_valid:
+                    continue
+                fr = predicted_level_fractions(par)
+                assert sorted(fr) == list(range(1, par.i + 3))
+                near, far = fr[par.i + 1], fr[par.i + 2]
+                assert far == (1.0 - par.p if par.i == 0 else math.exp(-par.c))
+                assert max(near, far) == par.gamma_smd
+                assert math.hypot(near, far) == par.gamma_md
+                indices.add(par.i)
+        assert {0, 1, 2} <= indices
+
     def test_fractions_sum_to_one_in_shallow_regimes(self):
         for n, p in [(1000, 0.3), (5000, 0.02), (1024, 0.5)]:
             fr = predicted_level_fractions(er_parameters(n, p))
@@ -215,6 +232,13 @@ class TestSampling:
         rng = np.random.default_rng(7)
         g = sample_gnp(100, 0.1, rng)
         assert g.n == 100
+
+    def test_generator_continues_its_stream(self):
+        rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+        first, second = sample_gnp(100, 0.1, rng), sample_gnp(100, 0.1, rng)
+        assert first.edges() == sample_gnp(100, 0.1, twin).edges()
+        assert second.edges() == sample_gnp(100, 0.1, twin).edges()
+        assert first.edges() != second.edges()
 
     def test_edge_count_near_expectation(self):
         n, p = 400, 0.1

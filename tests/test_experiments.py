@@ -21,7 +21,7 @@ from seqlocate import (
     summary_path_for,
     write_csv,
 )
-from seqlocate import game, localization
+from seqlocate import er_parameters, game, localization
 
 
 def base_config(tmp_path, **overrides) -> ExperimentConfig:
@@ -123,12 +123,22 @@ class TestConfig:
             ({"caps": {"exact_n_limit": None}}, "exact_n_limit must be an integer, got None"),
             ({"caps": {"exact_n_limit": False}}, "exact_n_limit must be an integer, got False"),
             ({"kind": 5}, "unknown experiment kind 5"),
+            ({"p_or_q": 5}, "p_or_q must be a rule string or a nonempty list, got 5"),
+            ({"p_or_q": []}, r"p_or_q must be a rule string or a nonempty list, got \[\]"),
+            ({"p_or_q": ["0.3"]}, "p_or_q entries must be numbers, got '0.3'"),
+            ({"p_or_q": [True]}, "p_or_q entries must be numbers, got True"),
+            ({"p_or_q": [0.3, None]}, "p_or_q entries must be numbers, got None"),
+            ({"output_path": None}, "output_path must be a string, got None"),
+            ({"output_path": 7}, "output_path must be a string, got 7"),
         ],
         ids=str,
     )
     def test_rejects_wrong_json_types_at_load(self, tmp_path, overrides, message):
         with pytest.raises(ValueError, match=message):
             base_config(tmp_path, **overrides)
+
+    def test_accepts_int_and_float_p_values(self, tmp_path):
+        assert base_config(tmp_path, p_or_q=[1, 0.5]).p_values_for(20) == [1.0, 0.5]
 
     def test_accepts_caps_at_their_limits(self, tmp_path):
         cfg = base_config(tmp_path, caps={"step_cap": 1, "exact_n_limit": 0})
@@ -333,6 +343,21 @@ class TestLevelFractions:
         rows = run_level_fractions(cfg)
         with_dev = [r.level for r in rows if r.ratio_max_deviation is not None]
         assert with_dev == [1, 2]  # i == 2 for these parameters
+
+    @pytest.mark.parametrize("n, p", [(50, 0.9), (10, 0.22)])
+    def test_cell_outside_window_has_no_prediction(self, tmp_path, n, p):
+        # (50, 0.9): 1 - p <= 1/sqrt(n), i = 0; (10, 0.22): delta <= ln(n), i = 1
+        assert not er_parameters(n, p).regime_valid
+        cfg = base_config(
+            tmp_path, kind="level_fractions", n_values=[n], p_or_q=[p], caps={}, sources_per_graph=5
+        )
+        run_experiment(cfg)
+        with open(tmp_path / "out.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and [int(r["level"]) for r in rows] == list(range(1, len(rows) + 1))
+        assert all(r["predicted_fraction"] == r["ratio_max_deviation"] == "" for r in rows)
+        total = sum(float(r["empirical_fraction"]) for r in rows)
+        assert total == pytest.approx(1.0 - 1.0 / n, rel=1e-5)
 
 
 class TestRunExperiment:

@@ -136,6 +136,23 @@ class TestIsResolving:
         assert seen == {True, False}
 
 
+    def test_matches_pairwise_loop(self):
+        rng = np.random.default_rng(29)
+        seen = set()
+        for n, p, seed in [(6, 0.5, 1), (12, 0.3, 2), (20, 0.2, 3), (30, 0.15, 4)]:
+            dm = distance_matrix(connected_sample(n, p, seed))
+            for _ in range(25):
+                size = int(rng.integers(1, min(n, 6) + 1))
+                r = QuerySet(tuple(rng.choice(n, size=size, replace=False).tolist()))
+                expected = all(
+                    any(dm.d[w, u] != dm.d[w, v] for w in r)
+                    for u, v in combinations(range(n), 2)
+                )
+                assert is_resolving(dm, r) is expected
+                seen.add(expected)
+        assert seen == {True, False}
+
+
 class TestExact:
     def test_path(self):
         assert md_exact(path_graph(4)) == (1, QuerySet((0,)))

@@ -92,6 +92,39 @@ class TestCollisions:
         assert collision_stats(a).x_pairs >= 1
         assert not columns_pairwise_distinct(a)
 
+    @staticmethod
+    def loop_stats(bits: np.ndarray) -> tuple[int, int, int]:
+        """(x_pairs, z_zero, z_one) by comparing every pair of columns."""
+        m, n = bits.shape
+        cols = [bits[:, j].tolist() for j in range(n)]
+        pairs = sum(cols[i] == cols[j] for i in range(n) for j in range(i + 1, n))
+        return pairs, cols.count([0] * m), cols.count([1] * m)
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 129])
+    def test_counts_match_pairwise_loop(self, m):
+        # row counts around multiples of 64 catch a count that reads whole
+        # 64-bit words only; some copies differ from a twin in one row
+        rng = np.random.default_rng(m)
+        pool = rng.integers(0, 2, size=(m, 6), dtype=np.uint8)
+        copies = pool[:, rng.integers(0, 6, size=40)]
+        for j, row in enumerate((0, m - 1, min(m - 1, 63), min(m - 1, 64))):
+            copies[row, 2 * j] ^= 1
+        tables = [
+            np.zeros((m, 1), np.uint8),
+            np.ones((m, 5), np.uint8),
+            np.zeros((m, 5), np.uint8),
+            copies,
+            rng.integers(0, 2, size=(m, 40), dtype=np.uint8),
+        ]
+        seen = set()
+        for bits in tables:
+            a = BinaryMatrix(m, bits.shape[1], np.ascontiguousarray(bits))
+            expected = self.loop_stats(bits)
+            assert tuple(collision_stats(a)) == expected
+            assert columns_pairwise_distinct(a) is (expected[0] == 0)
+            seen.add(expected[0] == 0)
+        assert seen == {True, False}
+
 
 class TestThresholdFormulas:
     def test_balanced_threshold_exact(self):
@@ -253,6 +286,13 @@ class TestSampling:
         a = sample_bernoulli(5, 7, 0.5, 11)
         b = sample_bernoulli(5, 7, 0.5, 11)
         assert (a.bits == b.bits).all()
+
+    def test_generator_continues_its_stream(self):
+        rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+        first, second = sample_bernoulli(6, 9, 0.5, rng), sample_bernoulli(6, 9, 0.5, rng)
+        assert (first.bits == sample_bernoulli(6, 9, 0.5, twin).bits).all()
+        assert (second.bits == sample_bernoulli(6, 9, 0.5, twin).bits).all()
+        assert (first.bits != second.bits).any()
 
     def test_mean_near_q(self):
         a = sample_bernoulli(200, 200, 0.3, 2)
