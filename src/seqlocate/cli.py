@@ -185,7 +185,11 @@ def _cmd_sweep(args) -> int:
     cfg = experiments.ExperimentConfig.from_json_file(args.config)
     threads = args.threads
     if threads is None and os.environ.get(THREADS_ENV_VAR):
-        threads = int(os.environ[THREADS_ENV_VAR])
+        value = os.environ[THREADS_ENV_VAR]
+        try:
+            threads = int(value)
+        except ValueError:
+            raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {value!r}") from None
     if threads is not None:
         # replace() re-runs the config's validation on the overridden count.
         cfg = dataclasses.replace(cfg, threads=threads)

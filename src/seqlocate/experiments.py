@@ -1,8 +1,12 @@
 """Monte Carlo harness: dimension sweeps, threshold sweeps, level fractions.
 
 Every trial derives its own RNG seed from the base seed and the cell
-coordinates, so trials are independent of execution order and thread
-count, and re-running a config reproduces the output byte for byte.
+coordinates, so trials are independent of execution order and worker
+count, and re-running a config reproduces the output byte for byte.  With
+more than one worker, trials (or cells) run in forked worker processes,
+not threads: a trial makes thousands of numpy calls, each of which must
+take the GIL back when it returns, and two threads spent much of their
+time waiting on each other for it.  Results come back in task order.
 Wall-clock timings are kept on the in-memory records for diagnostics but
 never serialized, precisely to keep reruns byte-identical.
 """
@@ -10,11 +14,11 @@ never serialized, precisely to keep reruns byte-identical.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from time import perf_counter
@@ -258,10 +262,25 @@ def summary_path_for(output_path) -> Path:
 
 
 def _map_ordered(fn, tasks, threads: int):
-    """Apply fn to tasks, possibly in a thread pool, preserving task order."""
+    """Apply fn to tasks and return the results in task order.
+
+    With more than one worker and task, the tasks run in a pool of
+    ``min(threads, len(tasks))`` forked processes, so ``fn``, the tasks and
+    the results must pickle; an exception raised in a worker reaches the
+    caller with its type and message.  Fork is named explicitly (Python
+    3.14 makes forkserver the Linux default) so that workers start without
+    re-importing numpy; a fork-context pool forks every worker before it
+    starts its own threads.
+    """
     if threads <= 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    # Imported here: at module load they would add about 20 ms to every CLI start.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        max_workers=min(threads, len(tasks)), mp_context=multiprocessing.get_context("fork")
+    ) as pool:
         return list(pool.map(fn, tasks))
 
 
@@ -281,6 +300,44 @@ def _stderr(values: list[int]) -> float:
     return float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
+def _run_trial(cfg: ExperimentConfig, task) -> TrialRecord:
+    """One md_smd_sweep trial: sample, greedy resolving set, played game."""
+    n, p, trial = task
+    seed = derive_trial_seed(cfg.base_seed, "md_smd", n, p, trial)
+    rng = np.random.default_rng(seed)
+    started = perf_counter()
+    g = _sample_connected(n, p, rng)
+    dm = distance_matrix(g)
+    greedy = md_greedy(g, dm=dm)
+    transcript = play_game(
+        dm,
+        Player1Policy.max_gain(),
+        AdversaryPolicy.greedy_max_cell(),
+        step_cap=cfg.step_cap,
+    )
+    exact = smd_exact(g) if n <= cfg.exact_n_limit else None
+    params = er_parameters(n, p)
+    if params.regime_valid:
+        bounds = bound_prediction(params)
+        lower, upper, md_pred = bounds.smd_lower, bounds.smd_upper, bounds.md_value
+    else:
+        lower = upper = md_pred = None
+    return TrialRecord(
+        n=n,
+        p=p,
+        trial_index=trial,
+        seed=seed,
+        md_greedy_size=len(greedy),
+        smd_estimate_steps=transcript.num_steps,
+        smd_exact=exact,
+        bound_lower=lower,
+        bound_upper=upper,
+        md_predicted=md_pred,
+        wall_time_ms=(perf_counter() - started) * 1e3,
+        candidate_trajectory=transcript.candidate_sizes(),
+    )
+
+
 def run_md_smd_sweep(cfg: ExperimentConfig) -> tuple[list[TrialRecord], list[SummaryRow]]:
     """Greedy resolving-set size vs adaptive game length across the grid.
 
@@ -297,44 +354,7 @@ def run_md_smd_sweep(cfg: ExperimentConfig) -> tuple[list[TrialRecord], list[Sum
         for p in cfg.p_values_for(n)
         for t in range(cfg.trials)
     ]
-
-    def run_trial(task) -> TrialRecord:
-        n, p, trial = task
-        seed = derive_trial_seed(cfg.base_seed, "md_smd", n, p, trial)
-        rng = np.random.default_rng(seed)
-        started = perf_counter()
-        g = _sample_connected(n, p, rng)
-        dm = distance_matrix(g)
-        greedy = md_greedy(g, dm=dm)
-        transcript = play_game(
-            dm,
-            Player1Policy.max_gain(),
-            AdversaryPolicy.greedy_max_cell(),
-            step_cap=cfg.step_cap,
-        )
-        exact = smd_exact(g) if n <= cfg.exact_n_limit else None
-        params = er_parameters(n, p)
-        if params.regime_valid:
-            bounds = bound_prediction(params)
-            lower, upper, md_pred = bounds.smd_lower, bounds.smd_upper, bounds.md_value
-        else:
-            lower = upper = md_pred = None
-        return TrialRecord(
-            n=n,
-            p=p,
-            trial_index=trial,
-            seed=seed,
-            md_greedy_size=len(greedy),
-            smd_estimate_steps=transcript.num_steps,
-            smd_exact=exact,
-            bound_lower=lower,
-            bound_upper=upper,
-            md_predicted=md_pred,
-            wall_time_ms=(perf_counter() - started) * 1e3,
-            candidate_trajectory=transcript.candidate_sizes(),
-        )
-
-    records = _map_ordered(run_trial, tasks, cfg.threads)
+    records = _map_ordered(functools.partial(_run_trial, cfg), tasks, cfg.threads)
     summaries = []
     for n in cfg.n_values:
         for p in cfg.p_values_for(n):
@@ -363,6 +383,20 @@ def _default_m_grid(n: int, q: float) -> list[int]:
     return list(range(low, high + 1))
 
 
+def _run_threshold_cell(cfg: ExperimentConfig, cell) -> ThresholdRow:
+    """One threshold_sweep cell: the fraction of its trials with distinct columns."""
+    n, q, m = cell
+    if m == 0:
+        return ThresholdRow(n=n, q=q, m=0, trials=cfg.trials, p_distinct=1.0 if n == 1 else 0.0)
+    distinct = 0
+    for trial in range(cfg.trials):
+        seed = derive_trial_seed(cfg.base_seed, "threshold", n, q, m, trial)
+        a = sample_bernoulli(m, n, q, seed)
+        if columns_pairwise_distinct(a):
+            distinct += 1
+    return ThresholdRow(n=n, q=q, m=m, trials=cfg.trials, p_distinct=distinct / cfg.trials)
+
+
 def run_threshold_sweep(cfg: ExperimentConfig) -> list[ThresholdRow]:
     """Fraction of Bernoulli(q) matrices with all columns distinct, per m.
 
@@ -378,20 +412,48 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> list[ThresholdRow]:
         for q in cfg.p_or_q
         for m in (cfg.m_values if cfg.m_values is not None else _default_m_grid(n, q))
     ]
+    return _map_ordered(functools.partial(_run_threshold_cell, cfg), cells, cfg.threads)
 
-    def run_cell(cell) -> ThresholdRow:
-        n, q, m = cell
-        if m == 0:
-            return ThresholdRow(n=n, q=q, m=0, trials=cfg.trials, p_distinct=1.0 if n == 1 else 0.0)
-        distinct = 0
-        for trial in range(cfg.trials):
-            seed = derive_trial_seed(cfg.base_seed, "threshold", n, q, m, trial)
-            a = sample_bernoulli(m, n, q, seed)
-            if columns_pairwise_distinct(a):
-                distinct += 1
-        return ThresholdRow(n=n, q=q, m=m, trials=cfg.trials, p_distinct=distinct / cfg.trials)
 
-    return _map_ordered(run_cell, cells, cfg.threads)
+def _run_level_cell(cfg: ExperimentConfig, cell) -> list[LevelFractionRow]:
+    """One level_fractions cell: its rows, one per observed or predicted level."""
+    n, p = cell
+    params = er_parameters(n, p)
+    predicted = predicted_level_fractions(params) if params.regime_valid else {}
+    tree_levels = range(1, params.i + 1) if params.regime_valid else ()
+    counts: dict[int, int] = {}
+    total = 0
+    worst_dev: dict[int, float] = {}
+    for trial in range(cfg.trials):
+        seed = derive_trial_seed(cfg.base_seed, "levels", n, p, trial)
+        rng = np.random.default_rng(seed)
+        g = _sample_connected(n, p, rng)
+        k = min(cfg.sources_per_graph, n)
+        sources = np.sort(rng.choice(n, size=k, replace=False))
+        dist = distances_from_sources(g, sources)
+        levels, level_counts = np.unique(dist, return_counts=True)
+        for l, cnt in zip(levels, level_counts):
+            counts[int(l)] = counts.get(int(l), 0) + int(cnt)
+        total += dist.size
+        for l in tree_levels:
+            sizes = (dist == l).sum(axis=1)
+            dev = float(np.abs(sizes / params.delta**l - 1.0).max())
+            worst_dev[l] = max(worst_dev.get(l, 0.0), dev)
+    rows = []
+    for level in sorted(set(counts) | set(predicted)):
+        if level == 0:
+            continue  # the source itself, mass 1/n, not a prediction target
+        rows.append(
+            LevelFractionRow(
+                n=n,
+                p=p,
+                level=level,
+                empirical_fraction=counts.get(level, 0) / total,
+                predicted_fraction=predicted.get(level),
+                ratio_max_deviation=worst_dev.get(level),
+            )
+        )
+    return rows
 
 
 def run_level_fractions(cfg: ExperimentConfig) -> list[LevelFractionRow]:
@@ -407,47 +469,7 @@ def run_level_fractions(cfg: ExperimentConfig) -> list[LevelFractionRow]:
     if cfg.kind != KIND_LEVEL_FRACTIONS:
         raise ValueError(f"config kind is {cfg.kind!r}")
     cells = [(n, p) for n in cfg.n_values for p in cfg.p_values_for(n)]
-
-    def run_cell(cell) -> list[LevelFractionRow]:
-        n, p = cell
-        params = er_parameters(n, p)
-        predicted = predicted_level_fractions(params) if params.regime_valid else {}
-        tree_levels = range(1, params.i + 1) if params.regime_valid else ()
-        counts: dict[int, int] = {}
-        total = 0
-        worst_dev: dict[int, float] = {}
-        for trial in range(cfg.trials):
-            seed = derive_trial_seed(cfg.base_seed, "levels", n, p, trial)
-            rng = np.random.default_rng(seed)
-            g = _sample_connected(n, p, rng)
-            k = min(cfg.sources_per_graph, n)
-            sources = np.sort(rng.choice(n, size=k, replace=False))
-            dist = distances_from_sources(g, sources)
-            levels, level_counts = np.unique(dist, return_counts=True)
-            for l, cnt in zip(levels, level_counts):
-                counts[int(l)] = counts.get(int(l), 0) + int(cnt)
-            total += dist.size
-            for l in tree_levels:
-                sizes = (dist == l).sum(axis=1)
-                dev = float(np.abs(sizes / params.delta**l - 1.0).max())
-                worst_dev[l] = max(worst_dev.get(l, 0.0), dev)
-        rows = []
-        for level in sorted(set(counts) | set(predicted)):
-            if level == 0:
-                continue  # the source itself, mass 1/n, not a prediction target
-            rows.append(
-                LevelFractionRow(
-                    n=n,
-                    p=p,
-                    level=level,
-                    empirical_fraction=counts.get(level, 0) / total,
-                    predicted_fraction=predicted.get(level),
-                    ratio_max_deviation=worst_dev.get(level),
-                )
-            )
-        return rows
-
-    nested = _map_ordered(run_cell, cells, cfg.threads)
+    nested = _map_ordered(functools.partial(_run_level_cell, cfg), cells, cfg.threads)
     return [row for rows in nested for row in rows]
 
 

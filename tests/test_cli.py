@@ -328,6 +328,28 @@ class TestSweep:
         assert "threads must be >= 1" in err
         assert not (tmp_path / "out.csv").exists()
 
+    def test_threads_env_not_an_integer_usage_error(self, capsys, tmp_path, monkeypatch):
+        cfg = self.write_config(tmp_path)
+        monkeypatch.setenv("SEQLOCATE_THREADS", "abc")
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert err == "seqlocate: SEQLOCATE_THREADS must be an integer, got 'abc'\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_disconnected_in_worker_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "kind": "md_smd_sweep", "n_values": [30], "p_or_q": [0.001], "trials": 2,
+            "base_seed": 99, "output_path": str(tmp_path / "out.csv"),
+        }))
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(path), "--threads", "2")
+        assert code == 3
+        assert json.loads(out) == {
+            "error": "cell (n=30, p=0.001): disconnected after 10 resamples",
+            "kind": "ExperimentError",
+        }
+        assert not (tmp_path / "out.csv").exists()
+
     def test_threads_flag_wins_over_env(self, capsys, tmp_path, monkeypatch):
         cfg = self.write_config(tmp_path)
         monkeypatch.setenv("SEQLOCATE_THREADS", "0")

@@ -268,10 +268,15 @@ class TestMdSmdSweep:
         assert all(r.bound_lower is None and r.bound_upper is None for r in records)
         assert summaries[0].bound_upper is None
 
-    def test_persistently_disconnected_raises(self, tmp_path):
-        cfg = base_config(tmp_path, n_values=[30], p_or_q=[0.001], trials=1)
-        with pytest.raises(ExperimentError, match="connected"):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_persistently_disconnected_raises(self, tmp_path, threads):
+        # At two workers the error is raised in a pool process and must reach
+        # the caller with its type and message unchanged.
+        cfg = base_config(tmp_path, n_values=[30], p_or_q=[0.001], trials=2, threads=threads)
+        with pytest.raises(ExperimentError) as excinfo:
             run_md_smd_sweep(cfg)
+        assert excinfo.type is ExperimentError
+        assert str(excinfo.value) == "cell (n=30, p=0.001): disconnected after 10 resamples"
 
     def test_wall_time_never_serialized(self):
         assert "wall_time_ms" not in TRIAL_CSV_FIELDS
@@ -404,6 +409,21 @@ class TestRunExperiment:
         run_experiment(cfg4)
         assert (tmp_path / "out4.csv").read_bytes() == single
         assert summary_path_for(tmp_path / "out4.csv").read_bytes() == single_summary
+
+    def test_level_fractions_byte_identical_across_thread_counts(self, tmp_path):
+        outputs = []
+        for threads in (1, 3):
+            path = tmp_path / f"levels{threads}.csv"
+            run_experiment(
+                base_config(
+                    tmp_path, kind="level_fractions", n_values=[60, 120], p_or_q=[0.1, 0.3],
+                    trials=2, caps={}, sources_per_graph=10, threads=threads,
+                    output_path=str(path),
+                )
+            )
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"\n") > 5  # rows from every cell, not only the header
 
     def test_threshold_kind_deterministic(self, tmp_path):
         kw = dict(
