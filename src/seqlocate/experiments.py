@@ -301,7 +301,9 @@ def _stderr(values: list[int]) -> float:
 
 
 def _run_trial(cfg: ExperimentConfig, task) -> TrialRecord:
-    """One md_smd_sweep trial: sample, greedy resolving set, played game."""
+    """One md_smd_sweep trial: sample, greedy resolving set, played game
+    and, up to ``exact_n_limit``, the exact game value, all on one
+    distance matrix."""
     n, p, trial = task
     seed = derive_trial_seed(cfg.base_seed, "md_smd", n, p, trial)
     rng = np.random.default_rng(seed)
@@ -315,7 +317,7 @@ def _run_trial(cfg: ExperimentConfig, task) -> TrialRecord:
         AdversaryPolicy.greedy_max_cell(),
         step_cap=cfg.step_cap,
     )
-    exact = smd_exact(g) if n <= cfg.exact_n_limit else None
+    exact = smd_exact(g, dm=dm) if n <= cfg.exact_n_limit else None
     params = er_parameters(n, p)
     if params.regime_valid:
         bounds = bound_prediction(params)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .graphs import DistanceMatrix, Graph, distance_matrix
 from .localization import (
-    CapExceededError, QuerySet, _bitsets, _cell_counts, _check_cap, _column_blocks, _label_table
+    CapExceededError, QuerySet, _bitsets, _check_cap, _column_blocks, _distances, _label_counts, _label_table
 )
 
 _P1_KINDS = ("max-gain", "exact-minimax", "fixed-sequence")
@@ -143,13 +143,26 @@ class Transcript:
         return "".join(json.dumps(asdict(s)) + "\n" for s in self.steps)
 
 
+def _min_largest_cell(largest: np.ndarray, pool: np.ndarray, size: int) -> tuple[int, int]:
+    """The MAX-GAIN choice from the largest cell of every query: the
+    (query, largest cell) with the smallest cell among the queries where
+    the boolean mask ``pool`` is set, lowest index on ties.  ``size`` is
+    the candidate count, above every cell.  Raises ValueError on an empty
+    pool."""
+    if not pool.any():
+        raise ValueError("empty query pool")
+    scores = np.where(pool, largest, size + 1)
+    best_w = int(np.argmin(scores))
+    return best_w, int(scores[best_w])
+
+
 class _LabelGameEngine:
     """Shared machinery over a response table, array path plus bitset path.
 
     The one owner of a response table: a ``DistanceMatrix`` carries one
     engine, and every solver, played game and stepwise function given that
     matrix reads the table through it.  The array path (candidate index
-    arrays, bincount scoring) scales to thousands of targets and drives
+    arrays, label counts per query) scales to thousands of targets and drives
     played games and the greedy resolving set.  The bitset path encodes
     candidate sets as ints for the exact game value, a bounded decision
     search seeded by the MAX-GAIN worst case, and is limited to 64 targets.
@@ -178,28 +191,15 @@ class _LabelGameEngine:
         return self._compact
 
     def largest_cells(self, t: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Size of the largest cell of ``t`` under each query lo..hi-1.
-
-        Scores the queries in blocks with the refinement kernel, with ``t``
-        as a single class.
-        """
+        """Size of the largest cell of ``t`` under each query lo..hi-1,
+        from the one-class counts of ``_label_counts``."""
         table, width = self.compact_table()
-        hi = self.nq if hi is None else hi
-        scores = np.empty(hi - lo, dtype=np.int64)
-        for c0, c1 in _column_blocks(hi - lo, t.size, width):
-            counts = _cell_counts(table, t, None, width, lo + c0, lo + c1)
-            scores[c0:c1] = counts.reshape(c1 - c0, width).max(axis=1)
-        return scores
+        return _label_counts(table, t, width, lo, hi).max(axis=0)
 
     def best_reducer(self, t: np.ndarray, pool: np.ndarray) -> tuple[int, int]:
         """argmin of the largest cell of ``t`` over the queries where the
         boolean mask ``pool`` is set, lowest index on ties."""
-        if not pool.any():
-            raise ValueError("empty query pool")
-        scores = self.largest_cells(t)
-        scores[~pool] = t.size + 1
-        best_w = int(np.argmin(scores))
-        return best_w, int(scores[best_w])
+        return _min_largest_cell(self.largest_cells(t), pool, t.size)
 
     def answer(self, t: np.ndarray, w: int, policy: AdversaryPolicy) -> int:
         """The adversary's label for query w on candidates t under ``policy``.
@@ -213,9 +213,6 @@ class _LabelGameEngine:
         if policy.kind == "greedy-max-cell":
             return int(np.argmax(np.bincount(self.labels[w, t])))
         return self.exact_answer(self.mask_of(t), w)
-
-    def restrict(self, t: np.ndarray, w: int, l: int) -> np.ndarray:
-        return t[self.labels[w, t] == l]
 
     # ---- bitset path ------------------------------------------------
 
@@ -479,6 +476,15 @@ def _play_on_labels(
     p2: AdversaryPolicy,
     step_cap: int | None,
 ) -> Transcript:
+    """Play one game on the engine's table; the body of ``play_game`` and
+    of the matrix game.
+
+    MAX-GAIN keeps the (labels, queries) counts of the candidate set across
+    its steps (``_label_counts``) and reads each step's largest cells from
+    them.  After an answer it counts whichever side is smaller: the kept
+    cell, which replaces the counts, or the removed rest, which is
+    subtracted from them.
+    """
     nq, nt = engine.nq, engine.nt
     if p2.kind == "fixed-target" and not p2.target < nt:
         raise ValueError(f"target {p2.target} out of range")
@@ -489,10 +495,14 @@ def _play_on_labels(
         raise ValueError(f"step cap must be >= 1, got {step_cap}")
     t = np.arange(nt)
     unqueried = np.ones(nq, dtype=bool)
+    counts = None  # MAX-GAIN's label counts of t
     transcript = Transcript(initial_candidates=nt)
     while t.size > 1 and len(transcript.steps) < cap:
         if p1.kind == "max-gain":
-            w, _ = engine.best_reducer(t, unqueried)
+            if counts is None:
+                table, width = engine.compact_table()
+                counts = _label_counts(table, t, width)
+            w, _ = _min_largest_cell(counts.max(axis=0), unqueried, t.size)
         elif p1.kind == "exact-minimax":
             w = engine.exact_p1_choice(engine.mask_of(t))
         else:
@@ -500,7 +510,13 @@ def _play_on_labels(
                 break  # sequence exhausted with candidates remaining
             w = p1.sequence[len(transcript.steps)]
         l = engine.answer(t, w, p2)
-        t = engine.restrict(t, w, l)
+        kept = engine.labels[w, t] == l
+        if counts is not None:
+            if 2 * np.count_nonzero(kept) <= t.size:
+                counts = _label_counts(table, t[kept], width)
+            else:
+                counts -= _label_counts(table, t[~kept], width)
+        t = t[kept]
         if t.size == 0:  # pragma: no cover - answers are always consistent
             raise RuntimeError("inconsistent answer emptied the candidate set")
         unqueried[w] = False
@@ -589,16 +605,19 @@ def play_game(
     return _play_on_labels(dm._engine, p1, p2, step_cap)
 
 
-def smd_exact(g: Graph, cap: int | None = None) -> int:
+def smd_exact(g: Graph, cap: int | None = None, dm: DistanceMatrix | None = None) -> int:
     """Sequential metric dimension: game value with both sides optimal.
 
     A bounded decision search over candidate bitsets that starts from the
     MAX-GAIN worst case (see ``_LabelGameEngine.game_value``); hard limit
     64 nodes.  With ``cap`` (None or >= 0), one test "resolvable within
     cap queries?" runs first and CapExceededError is raised when it fails,
-    so the cap bounds the search work as well as the value.
+    so the cap bounds the search work as well as the value.  Pass a
+    precomputed ``dm`` of ``g``, as for ``md_greedy``, to reuse its
+    all-pairs BFS and engine; a ``dm`` of another node count is a
+    ValueError.
     """
-    return distance_matrix(g)._engine.exact_value(cap)
+    return _distances(g, dm)._engine.exact_value(cap)
 
 
 def smd_maxgain_worstcase(g: Graph, cap: int | None = None) -> int:

@@ -246,9 +246,10 @@ def md_exact(g: Graph, cap: int | None = None) -> tuple[int, QuerySet]:
     return size, QuerySet(witness)
 
 
-# Element budget of one scoring block (targets x query columns).  Each block
-# holds an int64 key array and an int64 cell-size array of this many entries,
-# so scoring memory stays fixed whatever the table size.
+# Element budget of one counting block (targets or cells x query columns).
+# Each block holds an int64 key array and an int64 cell-size array of this
+# many entries, so the memory of one count stays fixed whatever the table
+# size; the greedy's held cell counts are one int32 per cell and query.
 _BLOCK_ELEMENTS = 1 << 18
 
 
@@ -266,53 +267,106 @@ def _label_table(labels: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _column_blocks(n_queries: int, n_rows: int, cells: int):
     """Consecutive (c0, c1) query ranges whose key and count arrays fit the budget."""
-    step = max(1, _BLOCK_ELEMENTS // max(n_rows, cells))
+    step = max(1, _BLOCK_ELEMENTS // max(1, n_rows, cells))
     for c0 in range(0, n_queries, step):
         yield c0, min(c0 + step, n_queries)
 
 
-def _cell_counts(
-    table: np.ndarray, rows: np.ndarray, base: np.ndarray | None, cells: int, c0: int, c1: int
-) -> np.ndarray:
-    """Cell sizes of the partition of ``rows`` under query columns c0..c1-1.
+def _cell_counts(block: np.ndarray, base: np.ndarray | None, cells: int) -> np.ndarray:
+    """Cell sizes of a block of the label table, in (cells, queries) layout.
 
-    The partition scored is the current class partition refined by one
-    query: ``base[i]`` is ``class_rank * width`` for target ``rows[i]``
-    (None when ``rows`` is one class) and ``cells`` is the number of
-    (class, label) cells per query.  Returns the size of every flat cell,
-    one ``cells``-long run per query.
+    Row i of ``block`` holds one target's labels under some queries.  Under
+    each query the target falls in cell ``base[i] + label`` (``base`` None:
+    cell ``label``) of ``cells`` cells.  Returns ``counts[k, j]``, the
+    number of rows in cell k under column j.
     """
-    keys = np.add(table[rows, c0:c1], np.arange(0, (c1 - c0) * cells, cells))
+    cols = block.shape[1]
+    keys = np.multiply(block, cols, dtype=np.int64)
+    keys += np.arange(cols)
     if base is not None:
-        keys += base[:, None]
-    return np.bincount(keys.ravel(), minlength=(c1 - c0) * cells)
+        keys += (base * cols)[:, None]
+    return np.bincount(keys.ravel(), minlength=cells * cols).reshape(cells, cols)
 
 
-def _best_refinement(
-    table: np.ndarray, rows: np.ndarray, base: np.ndarray, cells: int
-) -> tuple[int, int]:
-    """The query leaving the fewest unresolved pairs among ``rows``.
+# One class is counted by comparing its block with each label in turn
+# ("label planes"), several times faster than the bincount kernel at the
+# label widths of G(n, p) tables.  Planes cost one pass per label, so
+# tables wider than this go through the bincount kernel, whose cost does
+# not grow with the width.
+_PLANE_WIDTH = 8
 
-    Ties go to the smaller worst cell, then to the lower query index.  The
-    table needs at least one query.  Returns (query, unresolved pairs).
-    The unresolved pairs of a query are (sum of squared cell sizes -
-    |rows|) / 2.  The worst cell is computed only for the queries tied on
-    the fewest unresolved pairs.
+
+def _label_counts(
+    table: np.ndarray, rows: np.ndarray, width: int, c0: int = 0, c1: int | None = None
+) -> np.ndarray:
+    """How many of the targets ``rows`` give each label to each query
+    c0..c1-1 (default: to the end), as an int32 (labels, queries) array.
+
+    The counts of ``rows`` taken as one class, read a budget-sized block
+    of queries at a time.  A target listed twice is counted twice.
     """
-    best: tuple[int, int, int] | None = None
-    for c0, c1 in _column_blocks(table.shape[1], rows.size, cells):
-        counts = _cell_counts(table, rows, base, cells, c0, c1).reshape(c1 - c0, cells)
-        unresolved = ((counts * counts).sum(axis=1) - rows.size) // 2
-        low = int(unresolved.min())
-        if best is not None and low > best[0]:
+    c1 = table.shape[1] if c1 is None else c1
+    out = np.empty((width, c1 - c0), dtype=np.int32)
+    for b0, b1 in _column_blocks(c1 - c0, rows.size, width):
+        block = table[rows, c0 + b0 : c0 + b1]
+        if width > _PLANE_WIDTH:
+            out[:, b0:b1] = _cell_counts(block, None, width)
             continue
-        tied = np.flatnonzero(unresolved == low)
-        worst = counts[tied].max(axis=1)
-        j = int(np.argmin(worst))
-        score = (low, int(worst[j]), c0 + int(tied[j]))
-        if best is None or score < best:
-            best = score
-    return best[2], best[0]
+        for label in range(width - 1):
+            out[label, b0:b1] = np.add.reduce((block == label).view(np.uint8), axis=0, dtype=np.int32)
+        out[-1, b0:b1] = rows.size - out[:-1, b0:b1].sum(axis=0)  # every row has one label
+    return out
+
+
+def _split_counts(
+    table: np.ndarray, width: int, held: np.ndarray, rows: np.ndarray, keys: np.ndarray
+) -> np.ndarray:
+    """The held counts of the classes that a pick leaves, from those before it.
+
+    ``held`` holds the counts of every class before the pick in (cells,
+    queries) layout: row ``k * width + l`` counts class k's targets with
+    label l under each query.  ``rows`` are the active targets before the
+    pick and ``keys[i]`` is the child of ``rows[i]``: its class * width +
+    its label under the pick.  The children with at least two targets are
+    the classes after the pick, in key order; the others are singletons and
+    drop out.
+
+    Only the targets outside each class's largest child go through the
+    bincount kernel.  The largest child's counts are its parent's minus the
+    sum of the other children, dead singletons included: the kernel counts
+    a singleton into the slot of its class's largest child, which starts
+    from the parent's counts and loses the sum of its class's slots.  A
+    class whose largest child is a singleton drops out whole, uncounted.
+    """
+    sizes = np.bincount(keys, minlength=held.shape[0])
+    alive = sizes > 1
+    new_class = np.cumsum(alive) - 1
+    big = sizes.reshape(-1, width).argmax(axis=1) + np.arange(0, sizes.size, width)
+    big_of = big[keys // width]
+    counted = (keys != big_of) & alive[big_of]
+    slots, slot_of = np.unique(np.where(alive[keys], keys, big_of)[counted], return_inverse=True)
+    parents = slots // width
+    own = slots != big[parents]
+    # A class's slots are adjacent.  Subtracting them one depth (position
+    # among them) at a time touches each largest child once per step, and
+    # runs several times faster than np.add.reduceat over the slots.
+    first = np.flatnonzero(np.diff(parents, prepend=-1))
+    depth = np.arange(slots.size) - np.repeat(first, np.diff(first, append=slots.size))
+    n_queries = table.shape[1]
+    new = np.empty((int(alive.sum()), width, n_queries), dtype=held.dtype)
+    kept_big = big[alive[big]]
+    new[new_class[kept_big]] = held.reshape(-1, width, n_queries)[kept_big // width]
+    own_rows = new_class[slots[own]]
+    big_rows = new_class[big[parents]]
+    counted_rows = rows[counted]
+    for c0, c1 in _column_blocks(n_queries, counted_rows.size, slots.size * width):
+        counts = _cell_counts(table[counted_rows, c0:c1], slot_of * width, slots.size * width)
+        counts = counts.astype(held.dtype).reshape(slots.size, width, c1 - c0)
+        new[own_rows, :, c0:c1] = counts[own]
+        for d in range(depth.max(initial=-1) + 1):
+            at = depth == d
+            new[big_rows[at], :, c0:c1] -= counts[at]
+    return new.reshape(-1, n_queries)
 
 
 # The greedy switches from cell scoring to pair scoring once the unresolved
@@ -322,6 +376,9 @@ _PAIR_PHASE_FACTOR = 12
 # Pairs compared per step of the pair kernel: a uint8 sum of this many
 # equalities cannot overflow.
 _PAIR_BLOCK = 255
+
+# Below this many targets, a query's sum of squared cell sizes fits int32.
+_INT32_TARGETS = 46341
 
 
 def _greedy_refinement(table: np.ndarray, width: int) -> list[int]:
@@ -335,8 +392,14 @@ def _greedy_refinement(table: np.ndarray, width: int) -> list[int]:
     singleton classes drop out.  A chosen query is constant on every class,
     so it separates nothing and is never chosen again: the round raises first.
 
-    The early rounds score every query over the cells of the active targets
-    (``_best_refinement``).  Once the unresolved pairs number at most
+    The early rounds score every query over the cells of the active
+    targets, from one table of cell counts held across them in (cells,
+    queries) layout.  Round 1 counts the single class by label planes
+    (``_label_counts``).  Each later round first updates the table for the
+    last pick, counting only the targets outside each class's largest
+    child (``_split_counts``).  A query's unresolved pairs are (sum of its
+    squared cell sizes - |active|) / 2, and its worst cell is read only
+    when it ties on the fewest.  Once the unresolved pairs number at most
     ``_PAIR_PHASE_FACTOR`` times the active targets, the rest of the call
     scores queries over the list of those pairs instead
     (``_pair_refinement``), which picks the same queries.
@@ -344,7 +407,10 @@ def _greedy_refinement(table: np.ndarray, width: int) -> list[int]:
     n_targets, n_queries = table.shape
     active = np.arange(n_targets)
     rank = np.zeros(n_targets, dtype=np.int64)  # dense class rank, aligned with active
-    n_classes = 1
+    held = _label_counts(table, active, width)
+    if n_targets >= _INT32_TARGETS:
+        held = held.astype(np.int64)
+    split = None  # (targets, keys) of the last pick, until a cell round needs its counts
     chosen: list[int] = []
     while active.size:
         if not n_queries:
@@ -352,16 +418,20 @@ def _greedy_refinement(table: np.ndarray, width: int) -> list[int]:
         pairs_left = _unresolved_pairs(rank)
         if pairs_left <= _PAIR_PHASE_FACTOR * active.size:
             return chosen + _pair_refinement(table, *_class_pairs(active, rank))
-        w, unresolved = _best_refinement(table, active, rank * width, n_classes * width)
-        if unresolved >= pairs_left:
+        if split is not None:
+            held = _split_counts(table, width, held, *split)
+        unresolved = (np.einsum("ij,ij->j", held, held) - active.size) // 2
+        low = int(unresolved.min())
+        if low >= pairs_left:
             raise ValueError("targets are not separable by the given queries")
+        tied = np.flatnonzero(unresolved == low)
+        w = int(tied[np.argmin(held[:, tied].max(axis=0))])
         chosen.append(w)
         keys = rank * width + table[active, w]
-        _, new_ids, counts = np.unique(keys, return_inverse=True, return_counts=True)
-        keep = counts[new_ids] > 1
-        active = active[keep]
-        _, rank = np.unique(new_ids[keep], return_inverse=True)
-        n_classes = int(rank.max()) + 1 if rank.size else 0
+        alive = held[:, w] > 1  # the children that stay classes, in key order
+        kept = alive[keys]
+        split = active, keys
+        active, rank = active[kept], (np.cumsum(alive) - 1)[keys[kept]]
     return chosen
 
 
@@ -420,7 +490,7 @@ def _pair_refinement(table: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> list[
     ``(xs, ys)`` lists every pair of targets within the current classes.
     Each round counts, per query, the pairs it leaves equal, which is the
     cell kernel's (sum of squared cell sizes - |rows|) / 2, breaks ties as
-    ``_best_refinement`` does and keeps only the pairs the chosen query
+    the cell rounds do and keeps only the pairs the chosen query
     leaves equal.
     """
     chosen: list[int] = []
@@ -440,21 +510,34 @@ def _pair_refinement(table: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> list[
             return chosen
 
 
+def _distances(g: Graph, dm: DistanceMatrix | None) -> DistanceMatrix:
+    """The distance matrix a graph solver reads: ``dm`` when given, after
+    checking that it has ``g``'s node count (ValueError otherwise), else
+    a fresh ``distance_matrix(g)``."""
+    if dm is None:
+        return distance_matrix(g)
+    if dm.n != g.n:
+        raise ValueError(f"distance matrix has {dm.n} nodes, graph has {g.n}")
+    return dm
+
+
 def md_greedy(g: Graph, dm: DistanceMatrix | None = None) -> QuerySet:
     """Greedy resolving set; scalable upper bound on the metric dimension.
 
     Each round adds the query that leaves the fewest node pairs unresolved
     (ties: smaller worst class, then lower index).  The early rounds score
-    every query over the class cells of the still-confusable nodes; once
-    few pairs are left, the remaining rounds score queries over the list of
-    those pairs.  Both phases pick the same queries.
+    every query over the class cells of the still-confusable nodes, from
+    cell counts held across rounds: each pick recounts only the nodes
+    outside the largest part of each class it splits.  Once few pairs are
+    left, the remaining rounds score queries over the list of those pairs.
+    Both phases pick the same queries.
 
-    Pass a precomputed ``dm`` to skip the all-pairs BFS and to share its
-    label table with later games on ``dm``.  The result is verified
-    resolving before it is returned.
+    Pass a precomputed ``dm`` of ``g`` to skip the all-pairs BFS and to
+    share its label table with later games on ``dm``; a ``dm`` of another
+    node count is a ValueError.  The result is verified resolving before
+    it is returned.
     """
-    if dm is None:
-        dm = distance_matrix(g)
+    dm = _distances(g, dm)
     engine = dm._engine  # DisconnectedGraphError if disconnected
     if g.n == 1:
         return QuerySet(())

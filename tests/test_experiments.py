@@ -21,7 +21,7 @@ from seqlocate import (
     summary_path_for,
     write_csv,
 )
-from seqlocate import er_parameters, game, localization
+from seqlocate import er_parameters, experiments, game, localization
 
 
 def base_config(tmp_path, **overrides) -> ExperimentConfig:
@@ -255,6 +255,35 @@ class TestMdSmdSweep:
         records, _ = run_md_smd_sweep(base_config(tmp_path, trials=1))
         assert len(records) == 1
         assert builds == [(20, 20)]
+
+    def test_one_distance_matrix_per_trial(self, tmp_path, monkeypatch):
+        """With exact_n_limit set, a trial's exact solver reads the trial's
+        distance matrix, and the CSVs are the bytes of a run whose exact
+        solver builds its own."""
+        own = tmp_path / "own"
+        own.mkdir()
+        solve = experiments.smd_exact
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "smd_exact", lambda g, cap=None, dm=None: solve(g, cap))
+            run_experiment(base_config(own))
+        shared = tmp_path / "shared"
+        shared.mkdir()
+        built = []
+        apsp = experiments.distance_matrix
+
+        def counted(g):
+            built.append(g.n)
+            return apsp(g)
+
+        for module in (experiments, game, localization):
+            monkeypatch.setattr(module, "distance_matrix", counted)
+        cfg = base_config(shared)
+        run_experiment(cfg)
+        assert built == [20] * cfg.trials
+        with open(shared / "out.csv", newline="") as fh:
+            assert all(row["smd_exact"] for row in csv.DictReader(fh))
+        for name in ("out.csv", "out.summary.csv"):
+            assert (shared / name).read_bytes() == (own / name).read_bytes()
 
     def test_exact_skipped_above_limit(self, tmp_path):
         cfg = base_config(tmp_path, caps={"exact_n_limit": 0})

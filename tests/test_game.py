@@ -311,6 +311,18 @@ class TestGameValues:
         with pytest.raises(DisconnectedGraphError):
             smd_exact(Graph(3, [(0, 1)]))
 
+    def test_accepts_precomputed_matrix(self):
+        g = connected_sample(14, 0.3, 41)
+        dm = distance_matrix(g)
+        assert smd_exact(g, dm=dm) == smd_exact(g)
+        assert smd_exact(g, cap=9, dm=dm) == smd_exact(g)
+
+    @pytest.mark.parametrize("other_n", [10, 16])
+    def test_matrix_of_another_size_rejected(self, other_n):
+        dm = distance_matrix(connected_sample(other_n, 0.3, 42))
+        with pytest.raises(ValueError, match=f"distance matrix has {other_n} nodes, graph has 14"):
+            smd_exact(connected_sample(14, 0.3, 41), dm=dm)
+
     def test_exact_play_matches_exact_value(self):
         for g in [cycle_graph(4), cycle_graph(6), star_graph(4), complete_graph(5)]:
             dm = distance_matrix(g)

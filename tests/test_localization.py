@@ -216,6 +216,13 @@ class TestGreedy:
         dm = distance_matrix(g)
         assert md_greedy(g, dm) == md_greedy(g)
 
+    @pytest.mark.parametrize("other_n", [20, 40])
+    def test_matrix_of_another_size_rejected(self, other_n):
+        g = connected_sample(30, 0.3, 7)
+        dm = distance_matrix(connected_sample(other_n, 0.3, 8))
+        with pytest.raises(ValueError, match=f"distance matrix has {other_n} nodes, graph has 30"):
+            md_greedy(g, dm=dm)
+
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             md_greedy(Graph(3, [(0, 1)]))

@@ -25,16 +25,20 @@ from conftest import criterion_1_graphs, cycle_graph, path_graph, reference_cell
 
 from seqlocate import (
     AdversaryPolicy,
+    BinaryMatrix,
     DistanceMatrix,
     GameState,
     Graph,
     Player1Policy,
     QuerySet,
+    UndefinedQueryComplexityError,
     distance_matrix,
     f_separator_exists,
+    game,
     is_connected,
     localization,
     max_gain_query,
+    qc_greedy,
     reducer_score,
     sample_bernoulli,
     sample_gnp,
@@ -293,6 +297,57 @@ def test_default_switches_to_pairs_once(factor, calls, monkeypatch):
     assert seen == calls
 
 
+def recount(table: np.ndarray, width: int, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Cell counts of the classes a pick leaves, counted afresh: one row per
+    (class, label), classes being the children with two or more targets,
+    in key order."""
+    counts = []
+    for key in np.unique(keys):
+        members = rows[keys == key]
+        if members.size > 1:
+            counts += [(table[members] == label).sum(axis=0) for label in range(width)]
+    return np.array(counts, dtype=np.int64).reshape(-1, table.shape[1])
+
+
+@pytest.mark.parametrize("labels", TIES + [pytest.param(distance_matrix(sample_gnp(300, 0.05, 0)).d, id="gnp-300-0.05-0")])
+@pytest.mark.parametrize("block", [1, 257], ids=["budget-1", "budget-257"])
+def test_held_counts_equal_a_fresh_recount(labels, block, monkeypatch):
+    """After every cell round the held table is the cell counts of the
+    current classes, whichever targets the update counted."""
+    monkeypatch.setattr(localization, "_BLOCK_ELEMENTS", block)
+    monkeypatch.setattr(localization, "_PAIR_PHASE_FACTOR", PAIRS_NEVER)
+    rounds = []
+    split = localization._split_counts
+
+    def checked(table, width, held, rows, keys):
+        new = split(table, width, held, rows, keys)
+        assert new.tolist() == recount(table, width, rows, keys).tolist()
+        rounds.append(new.shape[0] // width)
+        return new
+
+    monkeypatch.setattr(localization, "_split_counts", checked)
+    assert greedy_refinement(labels) == reference_greedy_refinement(labels)
+    assert rounds and min(rounds) >= 1
+
+
+@pytest.mark.parametrize("labels", GNP[::3] + MATRICES[::3] + TIES[::3])
+def test_int64_held_counts_pick_the_same(labels, monkeypatch):
+    """Tables with too many targets for int32 sums of squares hold int64
+    counts; forced on small tables, the picks are the reference's."""
+    monkeypatch.setattr(localization, "_INT32_TARGETS", 1)
+    monkeypatch.setattr(localization, "_PAIR_PHASE_FACTOR", PAIRS_NEVER)
+    dtypes = []
+    split = localization._split_counts
+
+    def spy(table, width, held, rows, keys):
+        dtypes.append(held.dtype)
+        return split(table, width, held, rows, keys)
+
+    monkeypatch.setattr(localization, "_split_counts", spy)
+    assert outcome(greedy_refinement, labels) == outcome(reference_greedy_refinement, labels)
+    assert set(dtypes) <= {np.dtype(np.int64)}
+
+
 def test_pair_counts_match_brute_force_past_one_block():
     rng = np.random.default_rng(9)
     labels = rng.integers(0, 3, size=(6, 50))
@@ -330,6 +385,54 @@ def test_maxgain_transcript_matches_reference(labels, budget):
     nt = labels.shape[1]
     for target in (None, 0, nt // 2, nt - 1):
         assert outcome(played, labels, target) == outcome(reference_maxgain_play, labels, target)
+
+
+def test_maxgain_play_both_updates():
+    """Across the corpus, MAX-GAIN play recounts the kept cell when it is
+    the smaller side and subtracts the removed rest otherwise; fixed
+    targets answer small cells, so both updates occur."""
+    seen = {"recount": 0, "subtract": 0}
+    calls: list[np.ndarray] = []
+    count = game._label_counts
+
+    def spy(table, rows, width, *args):
+        calls.append(rows.copy())
+        return count(table, rows, width, *args)
+
+    for labels in [p.values[0] for p in GNP + PATHS_CYCLES + MATRICES]:
+        nt = labels.shape[1]
+        for target in (None, 0, nt // 2, nt - 1):
+            calls.clear()
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(game, "_label_counts", spy)
+                kind, value = outcome(played, labels, target)
+            assert (kind, value) == outcome(reference_maxgain_play, labels, target)
+            if kind != "ok":
+                continue
+            t = np.arange(nt)
+            assert len(calls) == 1 + len(value[0])
+            assert calls[0].tolist() == t.tolist()
+            for (w, answer, _), rows in zip(value[0], calls[1:]):
+                kept = labels[w, t] == answer
+                if 2 * kept.sum() <= t.size:
+                    assert rows.tolist() == t[kept].tolist()
+                    seen["recount"] += 1
+                else:
+                    assert rows.tolist() == t[~kept].tolist()
+                    seen["subtract"] += 1
+                t = t[kept]
+    assert min(seen.values()) > 0
+
+
+@pytest.mark.parametrize("labels", MATRICES)
+def test_qc_greedy_matches_reference(labels, budget, phase):
+    a = BinaryMatrix(*labels.shape, labels)
+    kind, expected = outcome(reference_greedy_refinement, labels)
+    if kind == "ok":
+        assert qc_greedy(a) == tuple(expected)
+    else:
+        with pytest.raises(UndefinedQueryComplexityError):
+            qc_greedy(a)
 
 
 @pytest.mark.parametrize("labels", GNP[::3] + PATHS_CYCLES + MATRICES[::3])
