@@ -237,11 +237,11 @@ def sample_gnp(n: int, p: float, seed) -> Graph:
                 break
             chunks.append(idx)
             pos = int(idx[-1])
-        lin = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    # Linear index k -> pair (u, v) with u < v, rows ordered by u.
-    row_start = np.zeros(n, dtype=np.int64)
-    if n > 1:
-        row_start[1:] = np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))
-    u = np.searchsorted(row_start, lin, side="right") - 1
-    v = lin - row_start[u] + u + 1
-    return Graph.from_edge_arrays(n, u, v)
+        lin = np.concatenate(chunks)
+    # Linear index k -> pair (u, v), u < v; row u follows the n-1 + ... + n-u pairs before it.
+    row = np.arange(n, dtype=np.int64)
+    row_start = row * (2 * n - 1 - row) // 2
+    ends = np.empty((2, lin.size), dtype=np.int64)
+    ends[0] = np.searchsorted(row_start[1:], lin, side="right")
+    np.subtract(lin, (row_start - row - 1)[ends[0]], out=ends[1])
+    return Graph(n, ends.T)

@@ -26,7 +26,7 @@ from time import perf_counter
 import numpy as np
 
 from .ermodel import bound_prediction, er_parameters, predicted_level_fractions, sample_gnp
-from .game import AdversaryPolicy, Player1Policy, play_game, smd_exact
+from .game import _BITSET_LIMIT, AdversaryPolicy, Player1Policy, play_game, smd_exact
 from .graphs import Graph, distance_matrix, distances_from_sources, is_connected
 from .localization import md_greedy
 from .matrices import columns_pairwise_distinct, sample_bernoulli, qc_threshold
@@ -66,7 +66,9 @@ class ExperimentConfig:
     sweeps); ``output_path`` is a string.  ``caps`` takes only "step_cap"
     (per-game step limit, None or >= 1; default n) and "exact_n_limit" (run
     the exact game value as well for n at or below it, >= 0; default 0,
-    off).  Every check runs here, so a bad config fails before any cell runs.
+    off; in an md_smd sweep it may not reach an n above the exact solvers'
+    target limit).  Every check runs here, so a bad config fails before any
+    cell runs.
     ``m_values`` (threshold sweeps) defaults to a grid straddling the
     predicted threshold.  ``sources_per_graph`` applies to level-fraction
     runs.
@@ -124,6 +126,12 @@ class ExperimentConfig:
             raise ValueError(f"step_cap must be null or >= 1, got {self.step_cap}")
         if self.exact_n_limit < 0:
             raise ValueError(f"exact_n_limit must be >= 0, got {self.exact_n_limit}")
+        past = [n for n in self.n_values if _BITSET_LIMIT < n <= self.exact_n_limit]
+        if self.kind == KIND_MD_SMD_SWEEP and past:
+            raise ValueError(
+                f"exact_n_limit {self.exact_n_limit} reaches n={past[0]}, but the exact "
+                f"solvers handle at most {_BITSET_LIMIT} targets"
+            )
 
     def p_values_for(self, n: int) -> list[float]:
         if isinstance(self.p_or_q, str):

@@ -31,85 +31,80 @@ class DisconnectedGraphError(RuntimeError):
 class Graph:
     """Simple undirected graph in compressed sparse row (CSR) form.
 
-    Nodes are exactly 0..n-1.  Self-loops and parallel edges are rejected.
-    The neighbours of ``v`` are ``indices[indptr[v]:indptr[v + 1]]`` (int32,
-    sorted ascending, so iteration order is deterministic everywhere
-    downstream); ``adj[v]`` is that same slice, as a view.
+    Nodes are exactly 0..n-1.  The neighbours of ``v`` are
+    ``indices[indptr[v]:indptr[v + 1]]`` (int32, sorted ascending, so
+    iteration order is deterministic everywhere downstream).  ``edges`` is
+    an (m, 2) integer array or an iterable of pairs, in either orientation;
+    an end outside 0..n-1, a self-loop or an edge given twice raises
+    ValueError, naming the first such edge in input order.
     """
 
-    __slots__ = ("n", "indptr", "indices", "adj")
+    __slots__ = ("n", "indptr", "indices")
 
     def __init__(self, n: int, edges) -> None:
         if n < 1:
             raise ValueError(f"node count must be positive, got {n}")
-        seen: set[tuple[int, int]] = set()
-        us: list[int] = []
-        vs: list[int] = []
-        for edge in edges:
-            u, v = edge
-            u = int(u)
-            v = int(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
-            us.append(key[0])
-            vs.append(key[1])
-        self._set_edges(n, np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64))
-
-    @classmethod
-    def from_edge_arrays(cls, n: int, u: np.ndarray, v: np.ndarray) -> "Graph":
-        """Fast path for trusted callers (samplers): no per-edge validation."""
-        g = cls.__new__(cls)
-        g._set_edges(int(n), np.asarray(u), np.asarray(v))
-        return g
-
-    def _set_edges(self, n: int, u: np.ndarray, v: np.ndarray) -> None:
+        edges = edges if isinstance(edges, np.ndarray) else list(edges)
+        try:
+            pairs = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
+        except OverflowError:  # an end past int64: find the first bad edge on Python ints
+            pairs = np.array(edges, dtype=object).reshape(len(edges), 2)
+            raise ValueError(_first_bad_edge(n, *pairs.T)) from None
         self.n = n
-        self.indptr, self.indices = _build_csr(n, u, v)
-        bounds = self.indptr.tolist()
-        self.adj = [self.indices[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        # Each end's array contiguous for the checks; sample_gnp's (2, m).T is not copied.
+        self.indptr, self.indices = _build_csr(n, np.ascontiguousarray(pairs.T))
 
     @property
     def num_edges(self) -> int:
         return self.indices.size // 2
 
     def degree(self, v: int) -> int:
-        return int(self.adj[v].size)
+        return int(np.diff(self.indptr)[v])
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted lexicographically."""
-        out = []
-        for u in range(self.n):
-            nb = self.adj[u]
-            out.extend((u, int(v)) for v in nb[nb > u])
-        return out
+        tails = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        up = tails < self.indices
+        return list(zip(tails[up].tolist(), self.indices[up].tolist()))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, m={self.num_edges})"
 
 
-def _build_csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arrays ``(indptr, indices)`` of the undirected edges ``u[k]-v[k]``.
+def _build_csr(n: int, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays ``(indptr, indices)`` of the edges ``ends[0, k]-ends[1, k]``.
 
     Each edge gives two arcs, keyed ``start*n + end`` in int64; one in-place
-    sort of the keys orders the arcs by start, then end.
+    sort of the keys orders the arcs by start, then end.  The edge rule: all
+    ends in range (checked first, as an end out of range can share a valid
+    arc's key), then no equal neighbouring keys, which a self-loop or an
+    edge given twice makes.
     """
-    m = u.size
-    keys = np.empty(2 * m, dtype=np.int64)
-    keys[:m] = u
-    keys[m:] = v
-    keys *= n
-    keys[:m] += v
-    keys[m:] += u
+    if ends.size and (ends.min() < 0 or ends.max() >= n):
+        raise ValueError(_first_bad_edge(n, *ends))
+    keys = ends * n
+    keys += ends[::-1]
+    keys = keys.reshape(-1)
     keys.sort()
+    if (keys[1:] == keys[:-1]).any():
+        raise ValueError(_first_bad_edge(n, *ends))
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
     keys %= n
     return indptr, keys.astype(np.int32)
+
+
+def _first_bad_edge(n: int, u: np.ndarray, v: np.ndarray) -> str:
+    """The error for the first edge in input order that has an end out of range
+    (``u``, ``v`` may be object arrays, for ends past int64), is a self-loop or
+    repeats an earlier edge; a key below repeats only at such bad edges."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    first = np.zeros(u.size, dtype=bool)
+    first[np.unique(lo * n + hi, return_index=True)[1]] = True
+    k = int(np.argmax(~first | ((lo < 0) | (hi >= n) | (lo == hi)).astype(bool)))
+    a, b = int(u[k]), int(v[k])
+    if not (0 <= a < n and 0 <= b < n):
+        return f"edge ({a}, {b}) out of range for n={n}"
+    return f"self-loop at node {a}" if a == b else f"duplicate edge ({a}, {b})"
 
 
 @dataclass(frozen=True)
@@ -152,7 +147,7 @@ def bfs_distances(g: Graph, v: int) -> np.ndarray:
     while queue:
         cur = queue.popleft()
         nxt = dist[cur] + 1
-        for nb in g.adj[cur]:
+        for nb in g.indices[g.indptr[cur]:g.indptr[cur + 1]]:
             if dist[nb] == UNREACHABLE:
                 dist[nb] = nxt
                 queue.append(nb)
@@ -333,7 +328,11 @@ def diameter(dm: DistanceMatrix) -> int:
 
 
 def read_edge_list(text: str) -> Graph:
-    """Parse the plain-text format: header line "N M", then M lines "u v"."""
+    """Parse the plain-text format: header line "N M", then M lines "u v".
+
+    One ``np.array`` call converts every edge token; only when that fails
+    are the lines parsed one by one, so that the error names the bad line.
+    """
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise GraphFormatError("empty input")
@@ -346,17 +345,19 @@ def read_edge_list(text: str) -> Graph:
         raise GraphFormatError(f"bad header {lines[0]!r}") from exc
     if n < 1 or m < 0:
         raise GraphFormatError(f"bad header values n={n}, m={m}")
-    if len(lines) - 1 != m:
-        raise GraphFormatError(f"header promises {m} edges, found {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"bad edge line {ln!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise GraphFormatError(f"bad edge line {ln!r}") from exc
+    body = lines[1:]
+    if len(body) != m:
+        raise GraphFormatError(f"header promises {m} edges, found {len(body)}")
+    try:  # a line of 1 token leaves too few; of 3 or more, a token "1 2" int() rejects
+        edges = np.array([t for ln in body for t in ln.split(None, 1)], dtype=np.int64).reshape(m, 2)
+    except (ValueError, OverflowError):
+        edges = []
+        for ln in body:
+            try:
+                u, v = map(int, ln.split())
+            except ValueError as exc:
+                raise GraphFormatError(f"bad edge line {ln!r}") from exc
+            edges.append((u, v))
     try:
         return Graph(n, edges)
     except ValueError as exc:
@@ -365,6 +366,4 @@ def read_edge_list(text: str) -> Graph:
 
 def write_edge_list(g: Graph) -> str:
     """Serialize to the same format ``read_edge_list`` accepts (LF endings)."""
-    out = [f"{g.n} {g.num_edges}"]
-    out.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(out) + "\n"
+    return "\n".join([f"{g.n} {g.num_edges}", *("%d %d" % e for e in g.edges())]) + "\n"

@@ -109,6 +109,14 @@ class TestMd:
         assert out == ""
         assert err.startswith("seqlocate: ")
 
+    def test_malformed_file_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("3 1\n0 x\n")
+        code, out, err = run_cli(capsys, "md", "--in", str(path))
+        assert code == 3
+        assert json.loads(out) == {"error": "bad edge line '0 x'", "kind": "GraphFormatError"}
+        assert err == ""
+
     def test_disconnected_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "disc.txt"
         path.write_text("4 2\n0 1\n2 3\n")
@@ -255,6 +263,14 @@ class TestMatrix:
         payload = json.loads(out)
         assert payload["resolved"] is True
         assert payload["sqc"] == 2
+
+    def test_malformed_file_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2 2\n12\n00\n")
+        code, out, err = run_cli(capsys, "matrix", "qc", "--in", str(path))
+        assert code == 3
+        assert json.loads(out) == {"error": "bad row '12', expected 2 0/1 digits", "kind": "MatrixFormatError"}
+        assert err == ""
 
     def test_equal_columns_domain_error(self, capsys, tmp_path):
         path = tmp_path / "dup.txt"

@@ -130,6 +130,10 @@ class TestConfig:
             ({"p_or_q": [0.3, None]}, "p_or_q entries must be numbers, got None"),
             ({"output_path": None}, "output_path must be a string, got None"),
             ({"output_path": 7}, "output_path must be a string, got 7"),
+            (
+                {"n_values": [10, 70], "caps": {"exact_n_limit": 70}},
+                "exact_n_limit 70 reaches n=70, but the exact solvers handle at most 64 targets",
+            ),
         ],
         ids=str,
     )

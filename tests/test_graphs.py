@@ -25,13 +25,18 @@ from seqlocate import (
 from seqlocate import graphs
 
 
+def neighbours(g: Graph) -> list[list[int]]:
+    """Each node's CSR row, as lists."""
+    return [g.indices[g.indptr[v]:g.indptr[v + 1]].tolist() for v in range(g.n)]
+
+
 def floyd_warshall(g: Graph) -> np.ndarray:
     """Independent distance oracle for cross-checking the BFS engines."""
     inf = float("inf")
     d = [[0 if i == j else inf for j in range(g.n)] for i in range(g.n)]
-    for u in range(g.n):
-        for v in g.adj[u]:
-            d[u][int(v)] = 1
+    for u, row in enumerate(neighbours(g)):
+        for v in row:
+            d[u][v] = 1
     for k in range(g.n):
         for i in range(g.n):
             for j in range(g.n):
@@ -59,15 +64,14 @@ def assert_csr(g: Graph) -> None:
     for v in range(g.n):
         row = g.indices[g.indptr[v]:g.indptr[v + 1]]
         assert (np.diff(row) > 0).all()
-        assert np.array_equal(g.adj[v], row)
-        assert np.shares_memory(g.adj[v], g.indices) or row.size == 0
+        assert g.degree(v) == row.size
     assert g.num_edges == g.indices.size // 2
 
 
 class TestConstruction:
     def test_adjacency_sorted_and_symmetric(self):
         g = Graph(4, [(2, 1), (0, 3), (1, 0)])
-        assert [a.tolist() for a in g.adj] == [[1, 3], [0, 2], [1], [0]]
+        assert neighbours(g) == [[1, 3], [0, 2], [1], [0]]
         assert g.num_edges == 3
         assert g.indptr.tolist() == [0, 2, 4, 5, 6]
         assert g.indices.tolist() == [1, 3, 0, 2, 1, 0]
@@ -83,7 +87,7 @@ class TestConstruction:
         edges = edges[rng.permutation(len(edges))]
         flip = rng.random(len(edges)) < 0.5
         edges[flip] = edges[flip, ::-1]
-        for g in (Graph(n, edges.tolist()), Graph.from_edge_arrays(n, edges[:, 0], edges[:, 1])):
+        for g in (Graph(n, edges.tolist()), Graph(n, edges)):
             assert_csr(g)
             assert g.num_edges == len(edges)
             assert np.array_equal(g.indptr, ref.indptr)
@@ -101,6 +105,24 @@ class TestConstruction:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph(3, [(0, 3)])
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (1, 0), (3, 3)], r"^duplicate edge \(1, 0\)$"),
+            ([(0, 1), (5, 5), (1, 0)], r"^edge \(5, 5\) out of range for n=3$"),
+            ([(2, 2), (0, 1), (1, 0)], r"^self-loop at node 2$"),
+            # (0, 3) out of range shares the arc key 3 = 1*3 + 0 of (1, 0)
+            ([(1, 0), (0, 3)], r"^edge \(0, 3\) out of range for n=3$"),
+        ],
+    )
+    def test_names_first_bad_edge_in_input_order(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(3, edges)
+
+    def test_rejects_edge_that_is_not_a_pair(self):
+        with pytest.raises(ValueError):
+            Graph(3, [(0, 1, 2)])
 
     def test_rejects_empty_node_set(self):
         with pytest.raises(ValueError):
@@ -270,12 +292,12 @@ class TestEdgeListFormat:
         assert text == "5 3\n0 1\n0 4\n2 3\n"
         g2 = read_edge_list(text)
         assert g2.n == g.n
-        assert [a.tolist() for a in g2.adj] == [a.tolist() for a in g.adj]
+        assert neighbours(g2) == neighbours(g)
 
     def test_round_trip_random(self):
         g = sample_gnp(30, 0.2, 77)
         g2 = read_edge_list(write_edge_list(g))
-        assert [a.tolist() for a in g2.adj] == [a.tolist() for a in g.adj]
+        assert neighbours(g2) == neighbours(g)
 
     @pytest.mark.parametrize(
         "text",
@@ -288,6 +310,8 @@ class TestEdgeListFormat:
             "3 2\n0 1\n1 0\n",  # duplicate
             "3 1\nx y\n",
             "3 2\n0 1\n",  # fewer edges than promised
+            "3 2\n0 1 2\n1\n",  # ragged lines, an even token total
+            "3 1\n99999999999999999999 1\n",  # past int64
         ],
     )
     def test_rejects_malformed(self, text):
