@@ -94,12 +94,7 @@ def _cmd_smd(args) -> int:
         _emit({"smd": solver(g, cap=args.cap), "mode": args.mode})
         return 0
     dm = graphs.distance_matrix(g)
-    transcript = game.play_game(
-        dm,
-        game.Player1Policy.max_gain(),
-        game.AdversaryPolicy.greedy_max_cell(),
-        step_cap=args.cap,
-    )
+    transcript = game.play_game(dm, *game.SMD_ESTIMATE_POLICIES, step_cap=args.cap)
     payload = {"smd": transcript.num_steps, "mode": args.mode, "resolved": transcript.resolved}
     if args.transcript:
         payload["transcript"] = [dataclasses.asdict(s) for s in transcript.steps]
@@ -109,9 +104,9 @@ def _cmd_smd(args) -> int:
 
 def _cmd_game(args) -> int:
     g = _read_graph(getattr(args, "in"))
-    dm = graphs.distance_matrix(g)
     if not 0 <= args.target < g.n:
         raise ValueError(f"target {args.target} out of range for n={g.n}")
+    dm = graphs.distance_matrix(g)
     transcript = game.play_game(
         dm,
         game.Player1Policy.max_gain(),
@@ -156,6 +151,8 @@ def _cmd_matrix(args) -> int:
             }
         )
         return 0
+    if args.matrix_cmd == "qc" and args.greedy and args.exact_cap is not None:
+        raise ValueError("--exact-cap needs the exact search, not --greedy")
     a = _read_matrix(getattr(args, "in"))
     if args.matrix_cmd == "qc":
         if args.greedy:
@@ -171,12 +168,7 @@ def _cmd_matrix(args) -> int:
     elif args.mode == "maxgain-worst":
         _emit({"sqc": matrices.sqc_maxgain_worstcase(a, cap=args.cap), "mode": args.mode})
     else:
-        transcript = matrices.sqc_play(
-            a,
-            game.Player1Policy.max_gain(),
-            game.AdversaryPolicy.greedy_max_cell(),
-            step_cap=args.cap,
-        )
+        transcript = matrices.sqc_play(a, *game.SMD_ESTIMATE_POLICIES, step_cap=args.cap)
         _emit({"sqc": transcript.num_steps, "mode": args.mode, "resolved": transcript.resolved})
     return 0
 

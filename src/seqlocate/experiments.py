@@ -26,7 +26,7 @@ from time import perf_counter
 import numpy as np
 
 from .ermodel import bound_prediction, er_parameters, predicted_level_fractions, sample_gnp
-from .game import _BITSET_LIMIT, AdversaryPolicy, Player1Policy, play_game, smd_exact
+from .game import _BITSET_LIMIT, SMD_ESTIMATE_POLICIES, play_game, smd_exact
 from .graphs import Graph, distance_matrix, distances_from_sources, is_connected
 from .localization import md_greedy
 from .matrices import columns_pairwise_distinct, sample_bernoulli, qc_threshold
@@ -63,12 +63,13 @@ class ExperimentConfig:
 
     ``p_or_q`` is either a list of numbers applied to every n, or a
     parametric rule string "c/N^a" evaluated per n (not for threshold
-    sweeps); ``output_path`` is a string.  ``caps`` takes only "step_cap"
-    (per-game step limit, None or >= 1; default n) and "exact_n_limit" (run
-    the exact game value as well for n at or below it, >= 0; default 0,
-    off; in an md_smd sweep it may not reach an n above the exact solvers'
-    target limit).  Every check runs here, so a bad config fails before any
-    cell runs.
+    sweeps); every p it gives must lie in (0, 1), and every threshold q in
+    [0, 1], or in (0, 1) when ``m_values`` is null.  ``output_path`` is a
+    string.  ``caps`` takes only "step_cap" (per-game step limit, None or
+    >= 1; default n) and "exact_n_limit" (run the exact game value as well
+    for n at or below it, >= 0; default 0, off; in an md_smd sweep it may
+    not reach an n above the exact solvers' target limit).  Every check
+    runs here, so a bad config fails before any cell runs.
     ``m_values`` (threshold sweeps) defaults to a grid straddling the
     predicted threshold.  ``sources_per_graph`` applies to level-fraction
     runs.
@@ -126,6 +127,18 @@ class ExperimentConfig:
             raise ValueError(f"step_cap must be null or >= 1, got {self.step_cap}")
         if self.exact_n_limit < 0:
             raise ValueError(f"exact_n_limit must be >= 0, got {self.exact_n_limit}")
+        try:
+            cells = self.cells()
+        except ArithmeticError as exc:  # n**a out of float range in a rule "c/N^a"
+            raise ValueError(f"p rule {self.p_or_q!r}: {exc}") from None
+        for n, v in cells:
+            if self.kind != KIND_THRESHOLD_SWEEP:
+                if not 0 < v < 1:
+                    raise ValueError(f"cell n={n}, p={v}: need 0 < p < 1")
+            elif not 0 <= v <= 1:
+                raise ValueError(f"cell n={n}, q={v}: need 0 <= q <= 1")
+            elif self.m_values is None and v in (0, 1):
+                raise ValueError(f"cell n={n}, q={v}: the default m grid needs 0 < q < 1")
         past = [n for n in self.n_values if _BITSET_LIMIT < n <= self.exact_n_limit]
         if self.kind == KIND_MD_SMD_SWEEP and past:
             raise ValueError(
@@ -139,6 +152,10 @@ class ExperimentConfig:
             coeff, power = float(match.group(1)), float(match.group(2))
             return [coeff / n**power]
         return [float(p) for p in self.p_or_q]
+
+    def cells(self) -> list[tuple[int, float]]:
+        """The grid's (n, p) cells, n-major, in ``n_values`` order."""
+        return [(n, p) for n in self.n_values for p in self.p_values_for(n)]
 
     @property
     def step_cap(self) -> int | None:
@@ -319,12 +336,7 @@ def _run_trial(cfg: ExperimentConfig, task) -> TrialRecord:
     g = _sample_connected(n, p, rng)
     dm = distance_matrix(g)
     greedy = md_greedy(g, dm=dm)
-    transcript = play_game(
-        dm,
-        Player1Policy.max_gain(),
-        AdversaryPolicy.greedy_max_cell(),
-        step_cap=cfg.step_cap,
-    )
+    transcript = play_game(dm, *SMD_ESTIMATE_POLICIES, step_cap=cfg.step_cap)
     exact = smd_exact(g, dm=dm) if n <= cfg.exact_n_limit else None
     params = er_parameters(n, p)
     if params.regime_valid:
@@ -358,31 +370,26 @@ def run_md_smd_sweep(cfg: ExperimentConfig) -> tuple[list[TrialRecord], list[Sum
     """
     if cfg.kind != KIND_MD_SMD_SWEEP:
         raise ValueError(f"config kind is {cfg.kind!r}")
-    tasks = [
-        (n, p, t)
-        for n in cfg.n_values
-        for p in cfg.p_values_for(n)
-        for t in range(cfg.trials)
-    ]
+    cells = cfg.cells()
+    tasks = [(n, p, t) for n, p in cells for t in range(cfg.trials)]
     records = _map_ordered(functools.partial(_run_trial, cfg), tasks, cfg.threads)
     summaries = []
-    for n in cfg.n_values:
-        for p in cfg.p_values_for(n):
-            cell = [r for r in records if r.n == n and r.p == p]
-            summaries.append(
-                SummaryRow(
-                    n=n,
-                    p=p,
-                    trials=len(cell),
-                    md_greedy_mean=float(np.mean([r.md_greedy_size for r in cell])),
-                    md_greedy_stderr=_stderr([r.md_greedy_size for r in cell]),
-                    smd_estimate_mean=float(np.mean([r.smd_estimate_steps for r in cell])),
-                    smd_estimate_stderr=_stderr([r.smd_estimate_steps for r in cell]),
-                    bound_lower=cell[0].bound_lower,
-                    bound_upper=cell[0].bound_upper,
-                    md_predicted=cell[0].md_predicted,
-                )
+    for k, (n, p) in enumerate(cells):
+        cell = records[k * cfg.trials : (k + 1) * cfg.trials]
+        summaries.append(
+            SummaryRow(
+                n=n,
+                p=p,
+                trials=cfg.trials,
+                md_greedy_mean=float(np.mean([r.md_greedy_size for r in cell])),
+                md_greedy_stderr=_stderr([r.md_greedy_size for r in cell]),
+                smd_estimate_mean=float(np.mean([r.smd_estimate_steps for r in cell])),
+                smd_estimate_stderr=_stderr([r.smd_estimate_steps for r in cell]),
+                bound_lower=cell[0].bound_lower,
+                bound_upper=cell[0].bound_upper,
+                md_predicted=cell[0].md_predicted,
             )
+        )
     return records, summaries
 
 
@@ -397,7 +404,7 @@ def _run_threshold_cell(cfg: ExperimentConfig, cell) -> ThresholdRow:
     """One threshold_sweep cell: the fraction of its trials with distinct columns."""
     n, q, m = cell
     if m == 0:
-        return ThresholdRow(n=n, q=q, m=0, trials=cfg.trials, p_distinct=1.0 if n == 1 else 0.0)
+        return ThresholdRow(n=n, q=q, m=0, trials=cfg.trials, p_distinct=0.0)
     distinct = 0
     for trial in range(cfg.trials):
         seed = derive_trial_seed(cfg.base_seed, "threshold", n, q, m, trial)
@@ -411,8 +418,7 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> list[ThresholdRow]:
     """Fraction of Bernoulli(q) matrices with all columns distinct, per m.
 
     The m grid defaults to one straddling the predicted threshold.  m = 0
-    needs no sampling: zero-row columns are all equal, so the fraction is
-    0 for n >= 2 (and 1 for a single column).
+    needs no sampling: zero-row columns are all equal, so the fraction is 0.
     """
     if cfg.kind != KIND_THRESHOLD_SWEEP:
         raise ValueError(f"config kind is {cfg.kind!r}")
@@ -478,8 +484,7 @@ def run_level_fractions(cfg: ExperimentConfig) -> list[LevelFractionRow]:
     """
     if cfg.kind != KIND_LEVEL_FRACTIONS:
         raise ValueError(f"config kind is {cfg.kind!r}")
-    cells = [(n, p) for n in cfg.n_values for p in cfg.p_values_for(n)]
-    nested = _map_ordered(functools.partial(_run_level_cell, cfg), cells, cfg.threads)
+    nested = _map_ordered(functools.partial(_run_level_cell, cfg), cfg.cells(), cfg.threads)
     return [row for rows in nested for row in rows]
 
 

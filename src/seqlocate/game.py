@@ -29,7 +29,9 @@ from .localization import (
 _P1_KINDS = ("max-gain", "exact-minimax", "fixed-sequence")
 _ADV_KINDS = ("fixed-target", "greedy-max-cell", "exact-minimax")
 
-# The exact search memoizes bounds on candidate bitsets, one bit per target.
+# The exact search memoizes bounds on candidate bitsets, Python ints of any
+# width; the limit guards only its run time, which grows fast with the
+# number of targets.
 _BITSET_LIMIT = 64
 
 
@@ -93,6 +95,12 @@ class AdversaryPolicy:
     @classmethod
     def exact_minimax(cls) -> "AdversaryPolicy":
         return cls("exact-minimax")
+
+
+# The SMD estimate: one game of MAX-GAIN against the adversary that keeps
+# the largest cell, the estimator that ``experiments.SummaryRow.estimator``
+# labels.
+SMD_ESTIMATE_POLICIES = (Player1Policy.max_gain(), AdversaryPolicy.greedy_max_cell())
 
 
 @dataclass

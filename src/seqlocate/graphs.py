@@ -63,9 +63,13 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted lexicographically."""
+        return list(zip(*self._edge_ends()))
+
+    def _edge_ends(self) -> tuple[list[int], list[int]]:
+        """The ends u and v of ``edges()`` as two lists, without the tuples."""
         tails = np.repeat(np.arange(self.n), np.diff(self.indptr))
         up = tails < self.indices
-        return list(zip(tails[up].tolist(), self.indices[up].tolist()))
+        return tails[up].tolist(), self.indices[up].tolist()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, m={self.num_edges})"
@@ -366,4 +370,4 @@ def read_edge_list(text: str) -> Graph:
 
 def write_edge_list(g: Graph) -> str:
     """Serialize to the same format ``read_edge_list`` accepts (LF endings)."""
-    return "\n".join([f"{g.n} {g.num_edges}", *("%d %d" % e for e in g.edges())]) + "\n"
+    return "\n".join([f"{g.n} {g.num_edges}", *map("{} {}".format, *g._edge_ends())]) + "\n"

@@ -42,14 +42,20 @@ class QuerySet:
         return iter(self.nodes)
 
 
+def _query_rows(dm: DistanceMatrix, r: QuerySet) -> np.ndarray:
+    """The nodes of ``r`` as an int64 index array; IndexError if one is
+    not a node of ``dm``."""
+    rows = np.asarray(r.nodes, dtype=np.int64)
+    if rows.size and rows.max() >= dm.n:
+        raise IndexError("query node out of range")
+    return rows
+
+
 def observation_vector(dm: DistanceMatrix, r: QuerySet, v: int) -> np.ndarray:
     """Distances from each query in ``r`` to target ``v``, in query order."""
     if not 0 <= v < dm.n:
         raise IndexError(f"target {v} out of range")
-    rows = np.asarray(r.nodes, dtype=np.int64)
-    if rows.size and (rows.max() >= dm.n):
-        raise IndexError("query node out of range")
-    return dm.d[rows, v]
+    return dm.d[_query_rows(dm, r), v]
 
 
 def candidate_targets(dm: DistanceMatrix, r: QuerySet, obs) -> np.ndarray:
@@ -60,22 +66,15 @@ def candidate_targets(dm: DistanceMatrix, r: QuerySet, obs) -> np.ndarray:
     obs_arr = np.asarray(obs, dtype=np.int64)
     if obs_arr.shape != (len(r),):
         raise ValueError(f"observation length {obs_arr.size} != |R| = {len(r)}")
-    rows = np.asarray(r.nodes, dtype=np.int64)
-    if rows.size == 0:
-        return np.arange(dm.n)
-    if rows.max() >= dm.n:
-        raise IndexError("query node out of range")
-    mask = (dm.d[rows] == obs_arr[:, None]).all(axis=0)
+    mask = (dm.d[_query_rows(dm, r)] == obs_arr[:, None]).all(axis=0)
     return np.nonzero(mask)[0]
 
 
 def is_resolving(dm: DistanceMatrix, r: QuerySet) -> bool:
     """True iff distinct nodes get distinct observation vectors under ``r``."""
-    rows = np.asarray(r.nodes, dtype=np.int64)
+    rows = _query_rows(dm, r)
     if rows.size == 0:
         return dm.n <= 1
-    if rows.max() >= dm.n:
-        raise IndexError("query node out of range")
     return _equal_pairs(dm.d[rows]) == 0
 
 

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from seqlocate import experiments, graphs
 from seqlocate import read_edge_list, read_matrix, write_edge_list, write_matrix
 from seqlocate.cli import dispatch
 from conftest import cycle_graph
@@ -175,13 +176,17 @@ class TestGame:
             {"step": 2, "query": 1, "answer": 2, "candidates": 1},
         ]
 
-    def test_target_out_of_range(self, capsys, cycle_file):
-        """A target outside the graph is a bad flag (exit 2); the file is fine."""
+    def test_target_out_of_range(self, capsys, cycle_file, monkeypatch):
+        """A target outside the graph is a bad flag (exit 2); the file is
+        fine, and the all-pairs BFS never runs."""
+        calls = []
+        monkeypatch.setattr(graphs, "distance_matrix", lambda g: calls.append(g.n))
         for target in ("9", "4", "-1"):
             code, out, err = run_cli(capsys, "game", "--in", cycle_file, "--target", target)
             assert code == 2
             assert out == ""
             assert err == f"seqlocate: target {target} out of range for n=4\n"
+        assert calls == []
 
 
 class TestParams:
@@ -240,6 +245,14 @@ class TestMatrix:
         code, out, _ = run_cli(capsys, "matrix", "qc", "--in", balanced_matrix_file, "--greedy")
         assert code == 0
         assert json.loads(out)["method"] == "greedy"
+
+    def test_qc_greedy_with_exact_cap_is_usage_error(self, capsys, balanced_matrix_file):
+        code, out, err = run_cli(
+            capsys, "matrix", "qc", "--in", balanced_matrix_file, "--greedy", "--exact-cap", "3"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "seqlocate: --exact-cap needs the exact search, not --greedy\n"
 
     def test_sqc_exact(self, capsys, balanced_matrix_file):
         code, out, _ = run_cli(
@@ -424,6 +437,18 @@ class TestSweep:
         assert err.startswith("seqlocate: ")
         assert not (tmp_path / "out.csv").exists()
 
+    def test_cell_outside_p_range_usage_error_before_any_trial(self, capsys, tmp_path, monkeypatch):
+        path = self.write_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg.update(n_values=[250, 500, 1000], p_or_q="0.001/N^-1")
+        path.write_text(json.dumps(cfg))
+        monkeypatch.setattr(experiments, "_run_trial", lambda cfg, task: pytest.fail("trial ran"))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "seqlocate: cell n=1000, p=1.0: need 0 < p < 1\n"
+        assert not (tmp_path / "out.csv").exists()
+
     def test_missing_config_usage_error(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "sweep", "--config", str(tmp_path / "nope.json"))
         assert code == 2
@@ -445,3 +470,23 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["gamma_smd"] == 0.5
+
+
+def test_runtime_imports_are_numpy_only():
+    """Importing the package and its CLI loads no third-party module but
+    numpy, and not the process-pool modules, which ``_map_ordered`` imports
+    only when it starts a pool.  The set is taken against what the bare
+    interpreter had already loaded, since site hooks may load modules of
+    their own."""
+    script = (
+        "import json, sys\n"
+        "before = {m.partition('.')[0] for m in sys.modules}\n"
+        "import seqlocate, seqlocate.cli\n"
+        "new = {m.partition('.')[0] for m in sys.modules} - before\n"
+        "print(json.dumps(sorted(new)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    new = set(json.loads(proc.stdout))
+    assert new - sys.stdlib_module_names == {"numpy", "seqlocate"}
+    assert not new & {"multiprocessing", "concurrent"}

@@ -78,8 +78,9 @@ class TestConfig:
             base_config(tmp_path, p_or_q="N^2/3")
 
     def test_accepts_p_rule_string(self, tmp_path):
-        cfg = base_config(tmp_path, p_or_q="6/N^0.5")
+        cfg = base_config(tmp_path, n_values=[100], p_or_q="6/N^0.5")
         assert cfg.p_or_q == "6/N^0.5"
+        assert cfg.cells() == [(100, 0.6)]
 
     def test_rejects_missing_fields(self):
         with pytest.raises(ValueError, match=r"missing config fields: \['p_or_q', 'trials', 'base_seed'\]"):
@@ -134,6 +135,35 @@ class TestConfig:
                 {"n_values": [10, 70], "caps": {"exact_n_limit": 70}},
                 "exact_n_limit 70 reaches n=70, but the exact solvers handle at most 64 targets",
             ),
+            (
+                {"n_values": [250, 500, 1000], "p_or_q": "0.001/N^-1"},
+                r"cell n=1000, p=1\.0: need 0 < p < 1",
+            ),
+            ({"p_or_q": "6/N^0.5"}, r"cell n=20, p=1\.34\d*: need 0 < p < 1"),
+            ({"p_or_q": [0.4, 1.0]}, r"cell n=20, p=1\.0: need 0 < p < 1"),
+            ({"p_or_q": [0]}, r"cell n=20, p=0\.0: need 0 < p < 1"),
+            ({"p_or_q": [float("nan")]}, "cell n=20, p=nan: need 0 < p < 1"),
+            ({"p_or_q": "1/N^-1e10"}, r"p rule '1/N\^-1e10': "),
+            (
+                {"kind": "level_fractions", "p_or_q": [1.5], "caps": {}},
+                r"cell n=20, p=1\.5: need 0 < p < 1",
+            ),
+            (
+                {"kind": "threshold_sweep", "p_or_q": [1.5], "caps": {}, "m_values": [4]},
+                r"cell n=20, q=1\.5: need 0 <= q <= 1",
+            ),
+            (
+                {"kind": "threshold_sweep", "p_or_q": [-0.5], "caps": {}, "m_values": [4]},
+                r"cell n=20, q=-0\.5: need 0 <= q <= 1",
+            ),
+            (
+                {"kind": "threshold_sweep", "p_or_q": [0.5, 1], "caps": {}},
+                r"cell n=20, q=1\.0: the default m grid needs 0 < q < 1",
+            ),
+            (
+                {"kind": "threshold_sweep", "p_or_q": [0], "caps": {}},
+                r"cell n=20, q=0\.0: the default m grid needs 0 < q < 1",
+            ),
         ],
         ids=str,
     )
@@ -142,7 +172,16 @@ class TestConfig:
             base_config(tmp_path, **overrides)
 
     def test_accepts_int_and_float_p_values(self, tmp_path):
-        assert base_config(tmp_path, p_or_q=[1, 0.5]).p_values_for(20) == [1.0, 0.5]
+        # with m_values a threshold sweep takes q at both ends of [0, 1]
+        cfg = base_config(
+            tmp_path, kind="threshold_sweep", p_or_q=[1, 0.5, 0], caps={}, m_values=[4]
+        )
+        assert cfg.p_or_q == [1, 0.5, 0]
+        assert cfg.p_values_for(20) == [1.0, 0.5, 0.0]
+
+    def test_cells_are_n_major(self, tmp_path):
+        cfg = base_config(tmp_path, n_values=[30, 20, 30], p_or_q=[0.4, 0.2])
+        assert cfg.cells() == [(30, 0.4), (30, 0.2), (20, 0.4), (20, 0.2), (30, 0.4), (30, 0.2)]
 
     def test_accepts_caps_at_their_limits(self, tmp_path):
         cfg = base_config(tmp_path, caps={"step_cap": 1, "exact_n_limit": 0})
@@ -288,6 +327,19 @@ class TestMdSmdSweep:
             assert all(row["smd_exact"] for row in csv.DictReader(fh))
         for name in ("out.csv", "out.summary.csv"):
             assert (shared / name).read_bytes() == (own / name).read_bytes()
+
+    def test_repeated_cell_summarizes_its_own_trials(self, tmp_path):
+        """Each summary row reads the trials of its own place in the grid,
+        even when another row has the same (n, p)."""
+        records, summaries = run_md_smd_sweep(
+            base_config(tmp_path, n_values=[30, 20, 30], trials=2, caps={})
+        )
+        assert [(s.n, s.trials) for s in summaries] == [(30, 2), (20, 2), (30, 2)]
+        for k, s in enumerate(summaries):
+            steps = [r.smd_estimate_steps for r in records[2 * k : 2 * k + 2]]
+            assert s.smd_estimate_mean == pytest.approx(sum(steps) / 2)
+            assert s.smd_estimate_stderr == pytest.approx(abs(steps[0] - steps[1]) / 2)
+        assert [r.seed for r in records[:2]] == [r.seed for r in records[4:]]
 
     def test_exact_skipped_above_limit(self, tmp_path):
         cfg = base_config(tmp_path, caps={"exact_n_limit": 0})
