@@ -45,14 +45,9 @@ def _resolve_seed(seed: int | None) -> int:
     return seed
 
 
-def _read_graph(path: str) -> graphs.Graph:
+def _read(path: str, parse):
     with open(path, encoding="utf-8") as fh:
-        return graphs.read_edge_list(fh.read())
-
-
-def _read_matrix(path: str) -> matrices.BinaryMatrix:
-    with open(path, encoding="utf-8") as fh:
-        return matrices.read_matrix(fh.read())
+        return parse(fh.read())
 
 
 def _emit(payload: dict) -> None:
@@ -75,7 +70,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_md(args) -> int:
-    g = _read_graph(getattr(args, "in"))
+    g = _read(getattr(args, "in"), graphs.read_edge_list)
     if args.exact_cap is not None:
         size, witness = localization.md_exact(g, cap=args.exact_cap)
         _emit({"md": size, "witness": list(witness), "method": "exact"})
@@ -86,10 +81,10 @@ def _cmd_md(args) -> int:
 
 
 def _cmd_smd(args) -> int:
-    g = _read_graph(getattr(args, "in"))
+    if args.transcript and args.mode != "maxgain-greedy":
+        raise ValueError(f"--transcript needs --mode maxgain-greedy, not {args.mode}")
+    g = _read(getattr(args, "in"), graphs.read_edge_list)
     if args.mode != "maxgain-greedy":
-        if args.transcript:
-            raise ValueError(f"--transcript needs --mode maxgain-greedy, not {args.mode}")
         solver = game.smd_exact if args.mode == "exact" else game.smd_maxgain_worstcase
         _emit({"smd": solver(g, cap=args.cap), "mode": args.mode})
         return 0
@@ -103,7 +98,7 @@ def _cmd_smd(args) -> int:
 
 
 def _cmd_game(args) -> int:
-    g = _read_graph(getattr(args, "in"))
+    g = _read(getattr(args, "in"), graphs.read_edge_list)
     if not 0 <= args.target < g.n:
         raise ValueError(f"target {args.target} out of range for n={g.n}")
     dm = graphs.distance_matrix(g)
@@ -153,7 +148,7 @@ def _cmd_matrix(args) -> int:
         return 0
     if args.matrix_cmd == "qc" and args.greedy and args.exact_cap is not None:
         raise ValueError("--exact-cap needs the exact search, not --greedy")
-    a = _read_matrix(getattr(args, "in"))
+    a = _read(getattr(args, "in"), matrices.read_matrix)
     if args.matrix_cmd == "qc":
         if args.greedy:
             rows = matrices.qc_greedy(a)

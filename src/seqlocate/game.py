@@ -632,8 +632,9 @@ def smd_maxgain_worstcase(g: Graph, cap: int | None = None) -> int:
     """Worst-case step count of the MAX-GAIN rule against any adversary.
 
     Full maximum over adversary answers (memoized tree walk), with player 1
-    pinned to MAX-GAIN.  The large-scale estimate counterpart is a single
-    ``play_game`` against the greedy-max-cell adversary.
+    pinned to MAX-GAIN; hard limit 64 nodes, as for ``smd_exact`` (a
+    larger graph is a ValueError).  The large-scale estimate counterpart is
+    a single ``play_game`` against the greedy-max-cell adversary.
     """
     return distance_matrix(g)._engine.worst_value(cap)
 

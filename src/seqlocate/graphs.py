@@ -9,6 +9,7 @@ distance.
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,8 +36,9 @@ class Graph:
     ``indices[indptr[v]:indptr[v + 1]]`` (int32, sorted ascending, so
     iteration order is deterministic everywhere downstream).  ``edges`` is
     an (m, 2) integer array or an iterable of pairs, in either orientation;
-    an end outside 0..n-1, a self-loop or an edge given twice raises
-    ValueError, naming the first such edge in input order.
+    an end that is not an integer (a float, even 1.0, or a string), an end
+    outside 0..n-1, a self-loop or an edge given twice raises ValueError,
+    naming the first such edge in input order for the last three.
     """
 
     __slots__ = ("n", "indptr", "indices")
@@ -45,11 +47,7 @@ class Graph:
         if n < 1:
             raise ValueError(f"node count must be positive, got {n}")
         edges = edges if isinstance(edges, np.ndarray) else list(edges)
-        try:
-            pairs = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
-        except OverflowError:  # an end past int64: find the first bad edge on Python ints
-            pairs = np.array(edges, dtype=object).reshape(len(edges), 2)
-            raise ValueError(_first_bad_edge(n, *pairs.T)) from None
+        pairs = _int64_ends(n, edges).reshape(len(edges), 2)
         self.n = n
         # Each end's array contiguous for the checks; sample_gnp's (2, m).T is not copied.
         self.indptr, self.indices = _build_csr(n, np.ascontiguousarray(pairs.T))
@@ -59,7 +57,9 @@ class Graph:
         return self.indices.size // 2
 
     def degree(self, v: int) -> int:
-        return int(np.diff(self.indptr)[v])
+        if not 0 <= v < self.n:
+            raise IndexError(f"node {v} out of range")
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted lexicographically."""
@@ -73,6 +73,30 @@ class Graph:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, m={self.num_edges})"
+
+
+def _int64_ends(n: int, edges) -> np.ndarray:
+    """The ends of ``edges`` (an array or a list) as int64.
+
+    Integer and bool arrays, and lists of ints that fit int64, convert in
+    one step.  Anything else is cast to int64 as a whole, which raises
+    OverflowError for an end past int64, and must then hold integers only,
+    since that cast truncates floats and parses strings.
+    """
+    ends = np.asarray(edges)  # a list of ints past int64 gives uint64, float or object
+    if ends.dtype.kind in "ib":
+        return ends.astype(np.int64, copy=False)
+    try:
+        cast = np.asarray(edges, dtype=np.int64)
+    except OverflowError:  # an end past int64: find the first bad edge on Python ints
+        pairs = np.array(edges, dtype=object).reshape(len(edges), 2)
+        raise ValueError(_first_bad_edge(n, *pairs.T)) from None
+    kind = ends.dtype.kind
+    if cast.size and not (
+        kind == "u" or kind == "O" and all(isinstance(x, numbers.Integral) for x in ends.flat)
+    ):
+        raise ValueError(f"edge ends must be integers, got dtype {ends.dtype}")
+    return cast
 
 
 def _build_csr(n: int, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,7 +156,8 @@ class DistanceMatrix:
         """
         from .game import _LabelGameEngine  # game imports this module
 
-        if not matrix_is_connected(self):
+        # Undirected: row 0 is finite iff every node reaches node 0.
+        if (self.d[0] == UNREACHABLE).any():
             raise DisconnectedGraphError("the graph is disconnected")
         return _LabelGameEngine(self.d)
 
@@ -312,11 +337,6 @@ def is_connected(g: Graph) -> bool:
     return True
 
 
-def matrix_is_connected(dm: DistanceMatrix) -> bool:
-    # Undirected graph: row 0 finite iff every node reaches node 0.
-    return bool((dm.d[0] != UNREACHABLE).all())
-
-
 def level_set(dm: DistanceMatrix, v: int, l: int) -> np.ndarray:
     """Nodes at hop distance exactly ``l`` from ``v``, sorted ascending."""
     if not 0 <= v < dm.n:
@@ -326,9 +346,22 @@ def level_set(dm: DistanceMatrix, v: int, l: int) -> np.ndarray:
 
 def diameter(dm: DistanceMatrix) -> int:
     """Largest hop distance, or UNREACHABLE if the graph is disconnected."""
-    if not matrix_is_connected(dm):
-        return UNREACHABLE
     return int(dm.d.max())
+
+
+def _read_header(text: str, error: type[ValueError], names: str) -> tuple[int, int, list[str]]:
+    """The two header integers, named ``names`` (``'N M'``) in the error, and
+    the body lines after them; lines are stripped and blank ones dropped."""
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    if not lines:
+        raise error("empty input")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise error(f"bad header {lines[0]!r}, expected {names!r}")
+    try:
+        return int(head[0]), int(head[1]), lines[1:]
+    except ValueError as exc:
+        raise error(f"bad header {lines[0]!r}") from exc
 
 
 def read_edge_list(text: str) -> Graph:
@@ -337,19 +370,9 @@ def read_edge_list(text: str) -> Graph:
     One ``np.array`` call converts every edge token; only when that fails
     are the lines parsed one by one, so that the error names the bad line.
     """
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise GraphFormatError("empty input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise GraphFormatError(f"bad header {lines[0]!r}, expected 'N M'")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise GraphFormatError(f"bad header {lines[0]!r}") from exc
+    n, m, body = _read_header(text, GraphFormatError, "N M")
     if n < 1 or m < 0:
         raise GraphFormatError(f"bad header values n={n}, m={m}")
-    body = lines[1:]
     if len(body) != m:
         raise GraphFormatError(f"header promises {m} edges, found {len(body)}")
     try:  # a line of 1 token leaves too few; of 3 or more, a token "1 2" int() rejects

@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .game import AdversaryPolicy, Player1Policy, Transcript, _LabelGameEngine, _play_on_labels
+from .graphs import _read_header
 from .localization import _equal_pairs, _greedy_refinement, _label_table, _smallest_separating_set
 
 
@@ -143,15 +144,16 @@ def qc_greedy(a: BinaryMatrix) -> tuple[int, ...]:
 def sqc_exact(a: BinaryMatrix, cap: int | None = None) -> int:
     """Adaptive game value on the matrix: bit queries, both sides optimal.
 
-    Same decision search and cap rule as ``smd_exact``
-    (``_LabelGameEngine.exact_value``).
+    Same decision search, cap rule and hard limit of 64 columns (a larger
+    matrix is a ValueError) as ``smd_exact`` (``_LabelGameEngine.exact_value``).
     """
     _require_distinct(a)
     return _LabelGameEngine(a.bits).exact_value(cap)
 
 
 def sqc_maxgain_worstcase(a: BinaryMatrix, cap: int | None = None) -> int:
-    """Worst-case MAX-GAIN step count on the matrix game."""
+    """Worst-case MAX-GAIN step count on the matrix game; hard limit 64
+    columns, as for ``sqc_exact``."""
     _require_distinct(a)
     return _LabelGameEngine(a.bits).worst_value(cap)
 
@@ -170,22 +172,13 @@ def sqc_play(
 
 def read_matrix(text: str) -> BinaryMatrix:
     """Parse the plain-text format: header "M N", then M rows of 0/1 digits."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise MatrixFormatError("empty input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise MatrixFormatError(f"bad header {lines[0]!r}, expected 'M N'")
-    try:
-        m, n = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise MatrixFormatError(f"bad header {lines[0]!r}") from exc
+    m, n, body = _read_header(text, MatrixFormatError, "M N")
     if m < 1 or n < 1:
         raise MatrixFormatError(f"bad dimensions m={m}, n={n}")
-    if len(lines) - 1 != m:
-        raise MatrixFormatError(f"header promises {m} rows, found {len(lines) - 1}")
+    if len(body) != m:
+        raise MatrixFormatError(f"header promises {m} rows, found {len(body)}")
     rows = []
-    for ln in lines[1:]:
+    for ln in body:
         if len(ln) != n or set(ln) - {"0", "1"}:
             raise MatrixFormatError(f"bad row {ln!r}, expected {n} 0/1 digits")
         rows.append([int(ch) for ch in ln])

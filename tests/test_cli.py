@@ -154,6 +154,15 @@ class TestSmd:
         assert out == ""
         assert f"--transcript needs --mode maxgain-greedy, not {mode}" in err
 
+    def test_transcript_checked_before_reading_file(self, capsys, tmp_path):
+        """The flag error wins over a malformed file: it is found first."""
+        path = tmp_path / "bad.txt"
+        path.write_text("3 1\n0 1 2\n")
+        code, out, err = run_cli(capsys, "smd", "--in", str(path), "--mode", "exact", "--transcript")
+        assert code == 2
+        assert out == ""
+        assert err == "seqlocate: --transcript needs --mode maxgain-greedy, not exact\n"
+
     def test_negative_cap_is_usage_error(self, capsys, six_cycle_file):
         code, _, err = run_cli(
             capsys, "smd", "--in", six_cycle_file, "--mode", "exact", "--cap", "-1"

@@ -114,11 +114,47 @@ class TestConstruction:
             ([(2, 2), (0, 1), (1, 0)], r"^self-loop at node 2$"),
             # (0, 3) out of range shares the arc key 3 = 1*3 + 0 of (1, 0)
             ([(1, 0), (0, 3)], r"^edge \(0, 3\) out of range for n=3$"),
+            # an end past int64 is found on Python ints
+            ([(0, 1), (0, 2**70)], r"^edge \(0, 1180591620717411303424\) out of range for n=3$"),
         ],
     )
     def test_names_first_bad_edge_in_input_order(self, edges, message):
         with pytest.raises(ValueError, match=message):
             Graph(3, edges)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            pytest.param([(0.5, 1.7)], id="float-list"),
+            pytest.param(np.array([[0.9, 2.2]]), id="float-array"),
+            pytest.param([(1.0, 2.0)], id="integral-float"),
+            pytest.param([("0", "2")], id="string"),
+            pytest.param(np.array([[0, 1]], dtype=np.float32), id="float32-array"),
+            pytest.param(np.array([[0, 1.5]], dtype=object), id="object-array-float"),
+        ],
+    )
+    def test_rejects_ends_that_are_not_integers(self, edges):
+        with pytest.raises(ValueError, match="^edge ends must be integers, got dtype "):
+            Graph(3, edges)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            pytest.param([(True, False), (1, 2)], id="bool-and-int-list"),
+            pytest.param(np.array([[1, 0], [1, 2]], dtype=np.uint64), id="uint64-array"),
+            pytest.param(np.array([[0, 1], [2, 1]], dtype=object), id="object-array-int"),
+            pytest.param([(np.int32(0), 1), (1, np.int64(2))], id="numpy-scalars"),
+        ],
+    )
+    def test_accepts_integer_ends(self, edges):
+        assert Graph(3, edges).edges() == [(0, 1), (1, 2)]
+
+    def test_degree_rejects_node_out_of_range(self):
+        g = cycle_graph(10)
+        assert [g.degree(v) for v in range(10)] == [2] * 10
+        for v in (-1, 10):
+            with pytest.raises(IndexError, match=f"^node {v} out of range$"):
+                g.degree(v)
 
     def test_rejects_edge_that_is_not_a_pair(self):
         with pytest.raises(ValueError):
@@ -317,6 +353,10 @@ class TestEdgeListFormat:
     def test_rejects_malformed(self, text):
         with pytest.raises(GraphFormatError):
             read_edge_list(text)
+
+    def test_end_past_int64_named_in_message(self):
+        with pytest.raises(GraphFormatError, match=r"^edge \(0, 99999999999999999999\) out of range for n=3$"):
+            read_edge_list("3 1\n0 99999999999999999999\n")
 
 
 @settings(max_examples=40, deadline=None)
