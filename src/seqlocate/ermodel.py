@@ -229,8 +229,8 @@ def sample_gnp(n: int, p: float, seed) -> Graph:
         pos = -1
         while True:
             batch = int((total - pos) * p * 1.1) + 16
-            gaps = rng.geometric(p, size=batch).astype(np.int64)
-            idx = pos + np.cumsum(gaps)
+            idx = np.cumsum(rng.geometric(p, size=batch).astype(np.int64, copy=False))
+            idx += pos
             cut = int(np.searchsorted(idx, total, side="left"))
             if cut < idx.size:
                 chunks.append(idx[:cut])
@@ -239,9 +239,11 @@ def sample_gnp(n: int, p: float, seed) -> Graph:
             pos = int(idx[-1])
         lin = np.concatenate(chunks)
     # Linear index k -> pair (u, v), u < v; row u follows the n-1 + ... + n-u pairs before it.
+    # lin is sorted, so one search per row start counts the pairs each row holds.
     row = np.arange(n, dtype=np.int64)
     row_start = row * (2 * n - 1 - row) // 2
+    counts = np.diff(np.searchsorted(lin, row_start), append=lin.size)
     ends = np.empty((2, lin.size), dtype=np.int64)
-    ends[0] = np.searchsorted(row_start[1:], lin, side="right")
-    np.subtract(lin, (row_start - row - 1)[ends[0]], out=ends[1])
+    ends[0] = np.repeat(row, counts)
+    np.subtract(lin, np.repeat(row_start - row - 1, counts), out=ends[1])
     return Graph(n, ends.T)

@@ -36,9 +36,10 @@ class Graph:
     ``indices[indptr[v]:indptr[v + 1]]`` (int32, sorted ascending, so
     iteration order is deterministic everywhere downstream).  ``edges`` is
     an (m, 2) integer array or an iterable of pairs, in either orientation;
-    an end that is not an integer (a float, even 1.0, or a string), an end
-    outside 0..n-1, a self-loop or an edge given twice raises ValueError,
-    naming the first such edge in input order for the last three.
+    an edge that is not a pair, an end that is not an integer (a float,
+    even 1.0, a string or None), an end outside 0..n-1, a self-loop or an
+    edge given twice raises ValueError, naming the first such edge in input
+    order for the first kind (in a list) and the last three.
     """
 
     __slots__ = ("n", "indptr", "indices")
@@ -47,7 +48,7 @@ class Graph:
         if n < 1:
             raise ValueError(f"node count must be positive, got {n}")
         edges = edges if isinstance(edges, np.ndarray) else list(edges)
-        pairs = _int64_ends(n, edges).reshape(len(edges), 2)
+        pairs = _int64_ends(n, edges)
         self.n = n
         # Each end's array contiguous for the checks; sample_gnp's (2, m).T is not copied.
         self.indptr, self.indices = _build_csr(n, np.ascontiguousarray(pairs.T))
@@ -76,49 +77,73 @@ class Graph:
 
 
 def _int64_ends(n: int, edges) -> np.ndarray:
-    """The ends of ``edges`` (an array or a list) as int64.
+    """The ends of ``edges`` (an array or a list of pairs) as (m, 2) int64.
 
     Integer and bool arrays, and lists of ints that fit int64, convert in
     one step.  Anything else is cast to int64 as a whole, which raises
     OverflowError for an end past int64, and must then hold integers only,
     since that cast truncates floats and parses strings.
     """
-    ends = np.asarray(edges)  # a list of ints past int64 gives uint64, float or object
-    if ends.dtype.kind in "ib":
-        return ends.astype(np.int64, copy=False)
+    try:
+        ends = np.asarray(edges)  # a list of ints past int64 gives uint64, float or object
+    except ValueError:  # ragged: some edge is not a pair
+        raise ValueError(_not_a_pair(edges)) from None
+    if ends.size and ends.shape[1:] != (2,):
+        if isinstance(edges, np.ndarray):
+            raise ValueError(f"edges must be an (m, 2) array, got shape {ends.shape}")
+        raise ValueError(_not_a_pair(edges))
+    kind = ends.dtype.kind
+    if kind in "ib":
+        return ends.astype(np.int64, copy=False).reshape(-1, 2)
+    integral = kind == "u" or kind == "O" and all(isinstance(x, numbers.Integral) for x in ends.flat)
     try:
         cast = np.asarray(edges, dtype=np.int64)
     except OverflowError:  # an end past int64: find the first bad edge on Python ints
-        pairs = np.array(edges, dtype=object).reshape(len(edges), 2)
+        pairs = np.array(edges, dtype=object).reshape(-1, 2)
         raise ValueError(_first_bad_edge(n, *pairs.T)) from None
-    kind = ends.dtype.kind
-    if cast.size and not (
-        kind == "u" or kind == "O" and all(isinstance(x, numbers.Integral) for x in ends.flat)
-    ):
+    except (TypeError, ValueError):  # an end int() rejects, such as None or "a"
+        integral = False
+    if ends.size and not integral:
         raise ValueError(f"edge ends must be integers, got dtype {ends.dtype}")
-    return cast
+    return cast.reshape(-1, 2)
+
+
+def _not_a_pair(edges: list) -> str:
+    """The error for the first edge in ``edges`` that is not a pair."""
+    for e in edges:
+        try:
+            if np.shape(e) == (2,):
+                continue
+        except ValueError:  # a ragged edge, such as ((0,), 1)
+            pass
+        return f"edge {e!r} is not a pair"
+    raise AssertionError("every edge is a pair")
 
 
 def _build_csr(n: int, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR arrays ``(indptr, indices)`` of the edges ``ends[0, k]-ends[1, k]``.
 
-    Each edge gives two arcs, keyed ``start*n + end`` in int64; one in-place
-    sort of the keys orders the arcs by start, then end.  The edge rule: all
-    ends in range (checked first, as an end out of range can share a valid
-    arc's key), then no equal neighbouring keys, which a self-loop or an
-    edge given twice makes.
+    Each edge gives two arcs, keyed ``start*n + end``; one in-place sort of
+    the keys orders the arcs by start, then end.  The keys are int32 when
+    every key and the search bound ``n*n`` fit it (n <= 46340), which sorts
+    faster, and int64 above.  The edge rule: all ends in range (checked
+    first, as an end out of range can share a valid arc's key), then no
+    equal neighbouring keys, which a self-loop or an edge given twice makes.
     """
     if ends.size and (ends.min() < 0 or ends.max() >= n):
         raise ValueError(_first_bad_edge(n, *ends))
-    keys = ends * n
-    keys += ends[::-1]
+    dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    cast = ends.astype(dtype, copy=False)
+    keys = cast * dtype(n)
+    keys += cast[::-1]
     keys = keys.reshape(-1)
     keys.sort()
     if (keys[1:] == keys[:-1]).any():
         raise ValueError(_first_bad_edge(n, *ends))
-    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    keys %= n
-    return indptr, keys.astype(np.int32)
+    row_keys = np.arange(n + 1, dtype=dtype) * dtype(n)
+    indptr = np.searchsorted(keys, row_keys)
+    keys -= np.repeat(row_keys[:-1], np.diff(indptr))  # start*n + end -> end
+    return indptr, keys.astype(np.int32, copy=False)
 
 
 def _first_bad_edge(n: int, u: np.ndarray, v: np.ndarray) -> str:
@@ -189,17 +214,21 @@ def distances_from_sources(g: Graph, sources) -> np.ndarray:
     Runs all s sources at once (bit-parallel BFS, cf. Akiba, Iwata and
     Yoshida, SIGMOD 2013): source k is lane k, and every node carries a
     bitset of the lanes that have reached it, in ``words = ceil(s/64)``
-    uint64 words.  Level 1 scatters the sources' arcs into lane bits.  At
-    each later level, an open node (one that some lane has not reached yet)
-    ORs only the bits its neighbours gained at the previous level, for a
-    block of open nodes at a time, with ``np.bitwise_or.reduceat``.  A node
-    that every lane has reached leaves the open set, even partway through
-    its arc list, and the search stops once no node is open or a level adds
-    nothing.  Unreachable pairs keep ``UNREACHABLE``.
+    uint64 words.  Level 1 reads one index per arc: each node's arcs from
+    sources set its lanes in a byte plane, which gives the distances 1 and
+    is packed into the first frontier.  At each later level, an open node
+    (one that some lane has not reached yet) ORs only the bits its
+    neighbours gained at the previous level, for a block of open nodes at
+    a time, with ``np.bitwise_or.reduceat``.  A node that every lane has
+    reached leaves the open set, even partway through its arc list, and
+    the search stops once no node is open or a level adds nothing.
+    Unreachable pairs keep ``UNREACHABLE``.
 
     Cost per level is O(words * sum of the open nodes' degrees) for the
     reductions, and far less on dense graphs, where a few dozen neighbours
-    cover every lane, plus O(s * open nodes) to write the new distances.
+    cover every lane, plus O(s * open nodes) to write the new distances:
+    a block that gained many lanes subtracts its whole gained mask from
+    its rows, one that gained few sets them through it (``_few_gained``).
     Memory is the (s, n) int32 output, three (n, words) bitsets (reach, the
     frontier and the next frontier) and per-block temporaries of at most
     ``_BLOCK_WORDS`` words each, unless a block's single node alone
@@ -218,7 +247,7 @@ def distances_from_sources(g: Graph, sources) -> np.ndarray:
     indptr, indices = g.indptr, g.indices
     degree = np.diff(indptr)
     lanes = np.arange(s)
-    lane_of = np.full(n, -1, dtype=np.int64)
+    lane_of = np.full(n, s, dtype=np.int64)  # s: the spare lane of non-sources
     lane_of[src] = lanes
     # Distances are written as (node, lane) rows: row v holds v's distance
     # to every source, in the caller's source order.
@@ -226,19 +255,20 @@ def distances_from_sources(g: Graph, sources) -> np.ndarray:
     out[src, lanes] = 0
 
     # Level 1: the arcs into each node, scattered onto the lanes of their
-    # source tails, then packed into the frontier bits.  A block's cost
-    # counts, per node, the neighbour entries it reads and its int32 output
-    # row, 32 words per word of lanes.
+    # source tails in a uint8 plane with one spare column, where the arcs
+    # from non-sources land, then packed into the frontier bits.  A block's
+    # cost counts, per node, the neighbour indices it reads (one each, not
+    # a bitset) and its int32 output row, 32 words per word of lanes.
     frontier = np.zeros((n, words), dtype=np.uint64)
-    for lo, hi in _blocks((degree + 32) * words, _BLOCK_WORDS):
-        tails = lane_of[indices[indptr[lo]:indptr[hi]]]
-        rows = np.repeat(np.arange(hi - lo), degree[lo:hi])
-        hit = tails >= 0
-        block = out[lo:hi]
-        block.reshape(-1)[rows[hit] * s + tails[hit]] = 1
-        frontier.view(np.uint8)[lo:hi, :(s + 7) // 8] = np.packbits(
-            block == 1, axis=1, bitorder="little"
-        )
+    for lo, hi in _blocks(degree + 32 * words, _BLOCK_WORDS):
+        plane = np.zeros((hi - lo, s + 1), dtype=np.uint8)
+        slots = np.repeat(np.arange(0, (hi - lo) * (s + 1), s + 1), degree[lo:hi])
+        slots += lane_of[indices[indptr[lo]:indptr[hi]]]
+        plane.reshape(-1)[slots] = 1
+        plane = plane[:, :s]
+        # A lane set here is a source's neighbour, so still UNREACHABLE.
+        out[lo:hi] -= plane * np.int32(UNREACHABLE - 1)
+        frontier.view(np.uint8)[lo:hi, :(s + 7) // 8] = np.packbits(plane, axis=1, bitorder="little")
     reach = frontier.copy()
     reach.view(np.uint8)[src, lanes // 8] |= (1 << (lanes % 8)).astype(np.uint8)
     full = np.full(words, ~np.uint64(0))
@@ -261,9 +291,7 @@ def distances_from_sources(g: Graph, sources) -> np.ndarray:
             not_full = np.empty(nodes.size, dtype=bool)
             for lo, hi in _blocks((run + 32) * words, _BLOCK_WORDS):
                 b = nodes[lo:hi]
-                d = run[lo:hi]
-                starts = np.cumsum(d) - d
-                arcs = np.repeat(cursor[lo:hi] - starts, d) + np.arange(starts[-1] + d[-1])
+                arcs, starts = _runs(cursor[lo:hi], run[lo:hi])
                 gained = np.bitwise_or.reduceat(frontier[indices[arcs]], starts, axis=0)
                 old = reach[b]
                 gained &= ~old
@@ -272,7 +300,12 @@ def distances_from_sources(g: Graph, sources) -> np.ndarray:
                 nxt[b] |= gained
                 rows = out[b]
                 mask = np.unpackbits(gained.view(np.uint8), axis=1, count=s, bitorder="little")
-                rows[mask.view(bool)] = level
+                if _few_gained(gained):
+                    rows[mask.view(bool)] = level
+                else:
+                    # A gained lane had not reached the node, so its entry
+                    # is still UNREACHABLE, and subtracting lands it on level.
+                    rows -= mask * np.int32(UNREACHABLE - level)
                 out[b] = rows
                 not_full[lo:hi] = (old != full).any(axis=1)
             cursor = cursor + run
@@ -298,6 +331,25 @@ _BLOCK_WORDS = 2**16
 _FIRST_RUN = 64
 
 
+def _few_gained(gained: np.ndarray) -> bool:
+    """True when under half of a block's ``gained`` words are nonzero, the
+    write form rule of ``distances_from_sources``.  Setting the gained
+    lanes through a boolean mask costs per lane set, a subtraction of the
+    whole mask per lane held; they break even near 2% of lanes set, which
+    on lanes spread at random leaves about half the words zero.  A cycle's
+    nodes gain at most two lanes a level, so past 256 lanes its blocks
+    take the mask.
+    """
+    return 2 * np.count_nonzero(gained) < gained.size
+
+
+def _runs(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions ``first[k] .. first[k] + count[k] - 1`` of every run k,
+    run after run, and the offset where each run starts among them."""
+    starts = np.cumsum(count) - count
+    return np.repeat(first - starts, count) + np.arange(starts[-1] + count[-1]), starts
+
+
 def _blocks(cost: np.ndarray, budget: int):
     """Consecutive ``(lo, hi)`` runs of ``cost`` whose sums stay within
     ``budget``; a run holds at least one entry."""
@@ -318,22 +370,27 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
 def is_connected(g: Graph) -> bool:
     """True iff every node is reachable from node 0.
 
-    Frontier BFS over the CSR arcs: each level gathers the frontier flag
-    of every arc's tail and marks the heads it reaches.  ``bfs_distances``
-    is the reference it is tested against.
+    Frontier BFS over the CSR arcs: each level gathers the arcs of the
+    frontier nodes only, and the heads they reach that were not seen
+    before are the next frontier.  ``bfs_distances`` is the reference it
+    is tested against.
     """
-    heads = g.indices
-    tails = np.repeat(np.arange(g.n, dtype=np.int32), np.diff(g.indptr))
+    indptr, indices = g.indptr, g.indices
     seen = np.zeros(g.n, dtype=bool)
     seen[0] = True
-    frontier = seen
-    while not seen.all():
+    frontier = np.zeros(1, dtype=np.int64)
+    left = g.n - 1
+    while left:
+        first = indptr[frontier]
+        arcs, _ = _runs(first, indptr[frontier + 1] - first)
         reached = np.zeros(g.n, dtype=bool)
-        reached[heads[frontier[tails]]] = True
-        frontier = reached & ~seen
-        if not frontier.any():
+        reached[indices[arcs]] = True
+        reached &= ~seen
+        frontier = np.flatnonzero(reached)
+        if not frontier.size:
             return False
-        seen |= frontier
+        seen |= reached
+        left -= frontier.size
     return True
 
 

@@ -56,6 +56,12 @@ def block_budget(request, monkeypatch):
     return request.param
 
 
+def lollipop_graph() -> Graph:
+    """K_40 on nodes 0..39 joined at node 39 to the path 39-40-...-99."""
+    clique = [(i, j) for i in range(40) for j in range(i + 1, 40)]
+    return Graph(100, clique + [(i, i + 1) for i in range(39, 99)])
+
+
 def assert_csr(g: Graph) -> None:
     assert g.indptr.shape == (g.n + 1,)
     assert g.indptr[0] == 0 and g.indptr[-1] == g.indices.size
@@ -160,6 +166,42 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph(3, [(0, 1, 2)])
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            pytest.param([(0, None)], r"^edge ends must be integers, got dtype object$", id="none-end"),
+            pytest.param([(0, "a")], r"^edge ends must be integers, got dtype <U21$", id="word-end"),
+            pytest.param([(0, 1), (2,)], r"^edge \(2,\) is not a pair$", id="ragged"),
+            pytest.param([[0, 1, 2]], r"^edge \[0, 1, 2\] is not a pair$", id="triple"),
+            pytest.param([(0, 1), 5], r"^edge 5 is not a pair$", id="scalar"),
+            pytest.param([(0, 1), ((0,), 1)], r"^edge \(\(0,\), 1\) is not a pair$", id="nested"),
+            pytest.param(
+                np.zeros((1, 3), dtype=np.int64), r"^edges must be an \(m, 2\) array, got shape \(1, 3\)$",
+                id="array-of-triples",
+            ),
+        ],
+    )
+    def test_names_edge_that_is_not_a_pair_of_integers(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(3, edges)
+
+    # The last n whose arc keys fit int32, and the first past it.
+    @pytest.mark.parametrize("n", [46340, 46341])
+    def test_csr_keys_either_side_of_int32(self, n):
+        edges = [(n - 1, 0), (0, 1), (n - 2, n - 1), (1, n - 1), (n // 2, 3)]
+        g = Graph(n, edges)
+        arcs = sorted(edges + [(b, a) for a, b in edges])
+        assert g.indptr.tolist() == [0, *np.cumsum(np.bincount([a for a, _ in arcs], minlength=n)).tolist()]
+        assert g.indices.tolist() == [b for _, b in arcs]
+        assert g.indices.dtype == np.int32
+        for bad, message in (
+            ([(0, n)], rf"^edge \(0, {n}\) out of range for n={n}$"),
+            ([(n - 1, n - 1)], rf"^self-loop at node {n - 1}$"),
+            ([(n - 1, 0), (0, n - 1)], rf"^duplicate edge \(0, {n - 1}\)$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                Graph(n, edges[1:] + bad)
+
     def test_rejects_empty_node_set(self):
         with pytest.raises(ValueError):
             Graph(0, [])
@@ -206,6 +248,7 @@ class TestDistances:
             pytest.param(Graph(9, [(1, 2), (2, 3), (5, 6)]), id="isolated-nodes"),
             pytest.param(path_graph(66), id="path-66"),
             pytest.param(cycle_graph(67), id="cycle-67"),
+            pytest.param(lollipop_graph(), id="lollipop-40-60"),
         ]
         + [
             pytest.param(sample_gnp(n, p, seed), id=f"gnp-{n}-{p}-{seed}")
@@ -233,6 +276,22 @@ class TestDistances:
             assert got.shape == (len(sources), g.n)
             assert got.dtype == np.int32 and got.flags.c_contiguous
             assert (got == ref[sources]).all()
+
+    def test_lollipop_takes_both_write_forms(self, block_budget, monkeypatch):
+        # From the clique's nodes, the first path nodes gain every lane at
+        # once and the rest of a level gains few: one call writes both ways.
+        g = lollipop_graph()
+        rule, picks = graphs._few_gained, []
+
+        def record(gained):
+            picks.append(rule(gained))
+            return picks[-1]
+
+        monkeypatch.setattr(graphs, "_few_gained", record)
+        sources = np.arange(40)
+        got = distances_from_sources(g, sources)
+        assert (got == [bfs_distances(g, v) for v in sources]).all()
+        assert set(picks) == {True, False}
 
     @pytest.mark.parametrize("seed", range(6))
     def test_engine_matches_floyd_warshall(self, seed):
