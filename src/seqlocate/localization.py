@@ -245,10 +245,11 @@ def md_exact(g: Graph, cap: int | None = None) -> tuple[int, QuerySet]:
     return size, QuerySet(witness)
 
 
-# Element budget of one counting block (targets or cells x query columns).
-# Each block holds an int64 key array and an int64 cell-size array of this
-# many entries, so the memory of one count stays fixed whatever the table
-# size; the greedy's held cell counts are one int32 per cell and query.
+# Element budget of one counting block (rows x query columns).  A block
+# holds that many labels and one label plane of them, or int64 keys and
+# counts of that many entries where np.bincount counts it, so the memory
+# of one count stays fixed whatever the table size; the greedy's held
+# cell counts are one int32 per cell and query.
 _BLOCK_ELEMENTS = 1 << 18
 
 
@@ -271,23 +272,20 @@ def _column_blocks(n_queries: int, n_rows: int, cells: int):
         yield c0, min(c0 + step, n_queries)
 
 
-def _cell_counts(block: np.ndarray, base: np.ndarray | None, cells: int) -> np.ndarray:
-    """Cell sizes of a block of the label table, in (cells, queries) layout.
+def _cell_counts(block: np.ndarray, width: int) -> np.ndarray:
+    """Label counts of a block of the label table, in (labels, queries) layout.
 
-    Row i of ``block`` holds one target's labels under some queries.  Under
-    each query the target falls in cell ``base[i] + label`` (``base`` None:
-    cell ``label``) of ``cells`` cells.  Returns ``counts[k, j]``, the
-    number of rows in cell k under column j.
+    Row i of ``block`` holds one target's labels under some queries.
+    Returns ``counts[l, j]``, the number of rows with label l under column j.
     """
     cols = block.shape[1]
     keys = np.multiply(block, cols, dtype=np.int64)
     keys += np.arange(cols)
-    if base is not None:
-        keys += (base * cols)[:, None]
-    return np.bincount(keys.ravel(), minlength=cells * cols).reshape(cells, cols)
+    return np.bincount(keys.ravel(), minlength=width * cols).reshape(width, cols)
 
 
-# One class is counted by comparing its block with each label in turn
+# A set of targets (the whole table in round 1, one slot of a split
+# later) is counted by comparing its block with each label in turn
 # ("label planes"), several times faster than the bincount kernel at the
 # label widths of G(n, p) tables.  Planes cost one pass per label, so
 # tables wider than this go through the bincount kernel, whose cost does
@@ -309,7 +307,7 @@ def _label_counts(
     for b0, b1 in _column_blocks(c1 - c0, rows.size, width):
         block = table[rows, c0 + b0 : c0 + b1]
         if width > _PLANE_WIDTH:
-            out[:, b0:b1] = _cell_counts(block, None, width)
+            out[:, b0:b1] = _cell_counts(block, width)
             continue
         for label in range(width - 1):
             out[label, b0:b1] = np.add.reduce((block == label).view(np.uint8), axis=0, dtype=np.int32)
@@ -330,12 +328,12 @@ def _split_counts(
     the classes after the pick, in key order; the others are singletons and
     drop out.
 
-    Only the targets outside each class's largest child go through the
-    bincount kernel.  The largest child's counts are its parent's minus the
-    sum of the other children, dead singletons included: the kernel counts
-    a singleton into the slot of its class's largest child, which starts
-    from the parent's counts and loses the sum of its class's slots.  A
-    class whose largest child is a singleton drops out whole, uncounted.
+    Only the targets outside each class's largest child are counted, one
+    slot at a time by label planes (``_label_counts``).  A slot is one
+    other child that stays a class, or the dead singletons of a class.  The
+    largest child's counts are its parent's minus every slot of its class,
+    so the singletons' slot is charged to it and not written.  A class
+    whose largest child is a singleton drops out whole, uncounted.
     """
     sizes = np.bincount(keys, minlength=held.shape[0])
     alive = sizes > 1
@@ -343,28 +341,20 @@ def _split_counts(
     big = sizes.reshape(-1, width).argmax(axis=1) + np.arange(0, sizes.size, width)
     big_of = big[keys // width]
     counted = (keys != big_of) & alive[big_of]
-    slots, slot_of = np.unique(np.where(alive[keys], keys, big_of)[counted], return_inverse=True)
-    parents = slots // width
-    own = slots != big[parents]
-    # A class's slots are adjacent.  Subtracting them one depth (position
-    # among them) at a time touches each largest child once per step, and
-    # runs several times faster than np.add.reduceat over the slots.
-    first = np.flatnonzero(np.diff(parents, prepend=-1))
-    depth = np.arange(slots.size) - np.repeat(first, np.diff(first, append=slots.size))
+    slot_of = np.where(alive[keys], keys, big_of)[counted]  # dead targets share their largest child's slot
+    order = np.argsort(slot_of, kind="stable")
+    starts = np.flatnonzero(np.diff(slot_of[order], prepend=-1))
+    slots = slot_of[order[starts]]
     n_queries = table.shape[1]
     new = np.empty((int(alive.sum()), width, n_queries), dtype=held.dtype)
     kept_big = big[alive[big]]
     new[new_class[kept_big]] = held.reshape(-1, width, n_queries)[kept_big // width]
-    own_rows = new_class[slots[own]]
-    big_rows = new_class[big[parents]]
-    counted_rows = rows[counted]
-    for c0, c1 in _column_blocks(n_queries, counted_rows.size, slots.size * width):
-        counts = _cell_counts(table[counted_rows, c0:c1], slot_of * width, slots.size * width)
-        counts = counts.astype(held.dtype).reshape(slots.size, width, c1 - c0)
-        new[own_rows, :, c0:c1] = counts[own]
-        for d in range(depth.max(initial=-1) + 1):
-            at = depth == d
-            new[big_rows[at], :, c0:c1] -= counts[at]
+    own_rows, big_rows = new_class[slots].tolist(), new_class[big[slots // width]].tolist()
+    for members, own_row, big_row in zip(np.split(rows[counted][order], starts[1:]), own_rows, big_rows):
+        counts = _label_counts(table, members, width)
+        if own_row != big_row:  # not the dead slot
+            new[own_row] = counts
+        new[big_row] -= counts
     return new.reshape(-1, n_queries)
 
 
@@ -396,9 +386,10 @@ def _greedy_refinement(table: np.ndarray, width: int) -> list[int]:
     queries) layout.  Round 1 counts the single class by label planes
     (``_label_counts``).  Each later round first updates the table for the
     last pick, counting only the targets outside each class's largest
-    child (``_split_counts``).  A query's unresolved pairs are (sum of its
-    squared cell sizes - |active|) / 2, and its worst cell is read only
-    when it ties on the fewest.  Once the unresolved pairs number at most
+    child, one child at a time by the same planes (``_split_counts``).  A
+    query's unresolved pairs are (sum of its squared cell sizes -
+    |active|) / 2, and its worst cell is read only when it ties on the
+    fewest.  Once the unresolved pairs number at most
     ``_PAIR_PHASE_FACTOR`` times the active targets, the rest of the call
     scores queries over the list of those pairs instead
     (``_pair_refinement``), which picks the same queries.

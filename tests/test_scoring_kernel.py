@@ -309,7 +309,16 @@ def recount(table: np.ndarray, width: int, rows: np.ndarray, keys: np.ndarray) -
     return np.array(counts, dtype=np.int64).reshape(-1, table.shape[1])
 
 
-@pytest.mark.parametrize("labels", TIES + [pytest.param(distance_matrix(sample_gnp(300, 0.05, 0)).d, id="gnp-300-0.05-0")])
+# Separable binary matrices: width-2 tables, counted by one label plane.
+SEPARABLE_MATRICES = [p for p in MATRICES if outcome(reference_greedy_refinement, p.values[0])[0] == "ok"][::2]
+
+
+@pytest.mark.parametrize(
+    "labels",
+    TIES
+    + SEPARABLE_MATRICES
+    + [pytest.param(distance_matrix(sample_gnp(300, 0.05, 0)).d, id="gnp-300-0.05-0")],
+)
 @pytest.mark.parametrize("block", [1, 257], ids=["budget-1", "budget-257"])
 def test_held_counts_equal_a_fresh_recount(labels, block, monkeypatch):
     """After every cell round the held table is the cell counts of the
@@ -328,6 +337,40 @@ def test_held_counts_equal_a_fresh_recount(labels, block, monkeypatch):
     monkeypatch.setattr(localization, "_split_counts", checked)
     assert greedy_refinement(labels) == reference_greedy_refinement(labels)
     assert rounds and min(rounds) >= 1
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_split_counts_by_slot_kind(dtype, monkeypatch):
+    """One pick on a hand-built table, checked against a fresh recount.
+
+    Before the pick, class 0 is targets 0-7, class 1 targets 8-12 and
+    class 2 targets 13-15; target 16 is no longer active.  The pick
+    (query 0) splits class 0 into a largest child of four and two own
+    children of two, leaves class 1 a largest child of three and two dead
+    singletons, which share one slot, and splits class 2 into singletons
+    only, so class 2 drops out uncounted.
+    """
+    width = 3
+    pick = [0, 0, 0, 0, 1, 1, 2, 2, 1, 1, 1, 0, 2, 0, 1, 2, 0]
+    table = np.random.default_rng(7).integers(0, width, size=(len(pick), 6)).astype(np.uint8)
+    table[:, 0] = pick
+    rows = np.arange(16)
+    classes = np.repeat([0, 1, 2], [8, 5, 3])
+    keys = classes * width + table[rows, 0]
+    held = recount(table, width, rows, classes * width).astype(dtype)
+    counted = []
+    real = localization._label_counts
+
+    def spy(table, rows, width):
+        counted.append(rows.tolist())
+        return real(table, rows, width)
+
+    monkeypatch.setattr(localization, "_label_counts", spy)
+    new = localization._split_counts(table, width, held, rows, keys)
+    assert new.dtype == dtype
+    assert new.tolist() == recount(table, width, rows, keys).tolist()
+    assert new.shape[0] == 4 * width  # class 0's three children and class 1's largest
+    assert sorted(counted) == [[4, 5], [6, 7], [11, 12]]
 
 
 @pytest.mark.parametrize("labels", GNP[::3] + MATRICES[::3] + TIES[::3])
