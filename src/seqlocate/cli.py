@@ -50,6 +50,16 @@ def _read(path: str, parse):
         return parse(fh.read())
 
 
+def _check_mode_cap(mode: str, cap: int | None) -> None:
+    """The ``--cap`` rule of ``smd`` and ``matrix sqc`` in ``mode``: the
+    played game's step cap in mode maxgain-greedy, else the exact solvers'
+    cap; checked before the input is read."""
+    if mode == "maxgain-greedy":
+        game._check_step_cap(cap)
+    else:
+        localization._check_cap(cap)
+
+
 def _emit(payload: dict) -> None:
     print(json.dumps(payload))
 
@@ -70,6 +80,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_md(args) -> int:
+    localization._check_cap(args.exact_cap)
     g = _read(getattr(args, "in"), graphs.read_edge_list)
     if args.exact_cap is not None:
         size, witness = localization.md_exact(g, cap=args.exact_cap)
@@ -83,6 +94,7 @@ def _cmd_md(args) -> int:
 def _cmd_smd(args) -> int:
     if args.transcript and args.mode != "maxgain-greedy":
         raise ValueError(f"--transcript needs --mode maxgain-greedy, not {args.mode}")
+    _check_mode_cap(args.mode, args.cap)
     g = _read(getattr(args, "in"), graphs.read_edge_list)
     if args.mode != "maxgain-greedy":
         solver = game.smd_exact if args.mode == "exact" else game.smd_maxgain_worstcase
@@ -98,6 +110,7 @@ def _cmd_smd(args) -> int:
 
 
 def _cmd_game(args) -> int:
+    game._check_step_cap(args.cap)
     g = _read(getattr(args, "in"), graphs.read_edge_list)
     if not 0 <= args.target < g.n:
         raise ValueError(f"target {args.target} out of range for n={g.n}")
@@ -146,8 +159,12 @@ def _cmd_matrix(args) -> int:
             }
         )
         return 0
-    if args.matrix_cmd == "qc" and args.greedy and args.exact_cap is not None:
-        raise ValueError("--exact-cap needs the exact search, not --greedy")
+    if args.matrix_cmd == "qc":
+        if args.greedy and args.exact_cap is not None:
+            raise ValueError("--exact-cap needs the exact search, not --greedy")
+        localization._check_cap(args.exact_cap)
+    else:
+        _check_mode_cap(args.mode, args.cap)
     a = _read(getattr(args, "in"), matrices.read_matrix)
     if args.matrix_cmd == "qc":
         if args.greedy:

@@ -424,8 +424,7 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> list[ThresholdRow]:
         raise ValueError(f"config kind is {cfg.kind!r}")
     cells = [
         (n, q, m)
-        for n in cfg.n_values
-        for q in cfg.p_or_q
+        for n, q in cfg.cells()
         for m in (cfg.m_values if cfg.m_values is not None else _default_m_grid(n, q))
     ]
     return _map_ordered(functools.partial(_run_threshold_cell, cfg), cells, cfg.threads)
@@ -489,22 +488,19 @@ def run_level_fractions(cfg: ExperimentConfig) -> list[LevelFractionRow]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Dispatch on config kind, write the CSV outputs, return a summary."""
-    if cfg.kind == KIND_MD_SMD_SWEEP:
-        records, summaries = run_md_smd_sweep(cfg)
-        write_csv(records, cfg.output_path, TRIAL_CSV_FIELDS)
+    """Run the config kind's experiment, write its CSV outputs (an md_smd
+    sweep also writes the per-cell summary file) and return a summary."""
+    runner, columns = {
+        KIND_MD_SMD_SWEEP: (run_md_smd_sweep, TRIAL_CSV_FIELDS),
+        KIND_THRESHOLD_SWEEP: (run_threshold_sweep, THRESHOLD_CSV_FIELDS),
+        KIND_LEVEL_FRACTIONS: (run_level_fractions, LEVEL_CSV_FIELDS),
+    }[cfg.kind]
+    out = runner(cfg)
+    rows, summaries = out if cfg.kind == KIND_MD_SMD_SWEEP else (out, None)
+    write_csv(rows, cfg.output_path, columns)
+    result = {"kind": cfg.kind, "rows": len(rows), "output": str(cfg.output_path)}
+    if summaries is not None:
         summary_path = summary_path_for(cfg.output_path)
         write_csv(summaries, summary_path, SUMMARY_CSV_FIELDS)
-        return {
-            "kind": cfg.kind,
-            "rows": len(records),
-            "output": str(cfg.output_path),
-            "summary": str(summary_path),
-        }
-    if cfg.kind == KIND_THRESHOLD_SWEEP:
-        rows = run_threshold_sweep(cfg)
-        write_csv(rows, cfg.output_path, THRESHOLD_CSV_FIELDS)
-        return {"kind": cfg.kind, "rows": len(rows), "output": str(cfg.output_path)}
-    rows = run_level_fractions(cfg)
-    write_csv(rows, cfg.output_path, LEVEL_CSV_FIELDS)
-    return {"kind": cfg.kind, "rows": len(rows), "output": str(cfg.output_path)}
+        result["summary"] = str(summary_path)
+    return result

@@ -23,7 +23,8 @@ import numpy as np
 
 from .graphs import DistanceMatrix, Graph, distance_matrix
 from .localization import (
-    CapExceededError, QuerySet, _bitsets, _check_cap, _column_blocks, _distances, _label_counts, _label_table
+    CapExceededError, QuerySet, _bitsets, _check_cap, _column_blocks, _distances, _label_counts, _label_table,
+    _query_rows,
 )
 
 _P1_KINDS = ("max-gain", "exact-minimax", "fixed-sequence")
@@ -48,10 +49,7 @@ class Player1Policy:
         if self.kind == "fixed-sequence":
             if not self.sequence:
                 raise ValueError("fixed-sequence policy needs at least one node")
-            if len(set(self.sequence)) != len(self.sequence):
-                raise ValueError("fixed-sequence nodes must be distinct")
-            if min(self.sequence) < 0:
-                raise ValueError("fixed-sequence nodes must be nonnegative")
+            QuerySet(self.sequence)
         elif self.sequence:
             raise ValueError(f"policy {self.kind!r} takes no sequence")
 
@@ -114,8 +112,7 @@ class GameState:
     def __post_init__(self) -> None:
         if len(self.queries) != len(self.observations):
             raise ValueError("queries and observations must have equal length")
-        if len(set(self.queries)) != len(self.queries):
-            raise ValueError("repeated query in history")
+        QuerySet(tuple(self.queries))
 
 
 def initial_state(n: int) -> GameState:
@@ -478,6 +475,13 @@ class _LabelGameEngine:
         return _bitsets(member)[0]
 
 
+def _check_step_cap(step_cap: int | None) -> None:
+    """The step cap rule of every played game: None (the target count) or
+    an int >= 1."""
+    if step_cap is not None and step_cap < 1:
+        raise ValueError(f"step cap must be >= 1, got {step_cap}")
+
+
 def _play_on_labels(
     engine: _LabelGameEngine,
     p1: Player1Policy,
@@ -498,9 +502,8 @@ def _play_on_labels(
         raise ValueError(f"target {p2.target} out of range")
     if p1.kind == "fixed-sequence" and max(p1.sequence) >= nq:
         raise ValueError("fixed-sequence node out of range")
+    _check_step_cap(step_cap)
     cap = nt if step_cap is None else step_cap
-    if cap < 1:
-        raise ValueError(f"step cap must be >= 1, got {step_cap}")
     t = np.arange(nt)
     unqueried = np.ones(nq, dtype=bool)
     counts = None  # MAX-GAIN's label counts of t
@@ -546,8 +549,8 @@ def _checked(dm: DistanceMatrix, t, w: int | None = None) -> tuple[_LabelGameEng
         raise ValueError("candidate set is empty")
     if t.min() < 0 or t.max() >= dm.n:
         raise IndexError("candidate out of range")
-    if w is not None and not 0 <= w < dm.n:
-        raise IndexError(f"query {w} out of range")
+    if w is not None:
+        _query_rows(dm, (w,))
     return dm._engine, t
 
 
@@ -578,10 +581,7 @@ def max_gain_query(dm: DistanceMatrix, state: GameState, pool=None) -> int:
     if pool is None:
         pool = np.setdiff1d(np.arange(dm.n), state.queries)
     else:
-        pool = np.array([int(w) for w in pool], dtype=np.int64)
-    outside = pool[(pool < 0) | (pool >= dm.n)]
-    if outside.size:
-        raise IndexError(f"query {outside[0]} out of range")
+        pool = _query_rows(dm, pool)
     in_pool = np.zeros(dm.n, dtype=bool)
     in_pool[pool] = True
     return engine.best_reducer(t, in_pool)[0]

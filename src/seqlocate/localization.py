@@ -42,13 +42,14 @@ class QuerySet:
         return iter(self.nodes)
 
 
-def _query_rows(dm: DistanceMatrix, r: QuerySet) -> np.ndarray:
-    """The nodes of ``r`` as an int64 index array; IndexError if one is
-    not a node of ``dm``."""
-    rows = np.asarray(r.nodes, dtype=np.int64)
-    if rows.size and rows.max() >= dm.n:
-        raise IndexError("query node out of range")
-    return rows
+def _query_rows(dm: DistanceMatrix, nodes) -> np.ndarray:
+    """The query range rule: ``nodes``, any iterable of node indices, as an
+    int64 index array; IndexError at the first that is not a node of ``dm``."""
+    rows = [int(v) for v in nodes]
+    for v in rows:
+        if not 0 <= v < dm.n:
+            raise IndexError(f"query {v} out of range")
+    return np.array(rows, dtype=np.int64)
 
 
 def observation_vector(dm: DistanceMatrix, r: QuerySet, v: int) -> np.ndarray:

@@ -263,12 +263,13 @@ class TestMatrix:
         assert out == ""
         assert err == "seqlocate: --exact-cap needs the exact search, not --greedy\n"
 
-    def test_sqc_exact(self, capsys, balanced_matrix_file):
+    @pytest.mark.parametrize("mode", ["exact", "maxgain-worst"])
+    def test_sqc_exact(self, capsys, balanced_matrix_file, mode):
         code, out, _ = run_cli(
-            capsys, "matrix", "sqc", "--in", balanced_matrix_file, "--mode", "exact"
+            capsys, "matrix", "sqc", "--in", balanced_matrix_file, "--mode", mode
         )
         assert code == 0
-        assert json.loads(out) == {"sqc": 2, "mode": "exact"}
+        assert json.loads(out) == {"sqc": 2, "mode": mode}
 
     def test_qc_one_column_within_cap_zero(self, capsys, tmp_path):
         path = tmp_path / "col.txt"
@@ -461,6 +462,37 @@ class TestSweep:
     def test_missing_config_usage_error(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "sweep", "--config", str(tmp_path / "nope.json"))
         assert code == 2
+
+
+_NEGATIVE_CAP = "cap must be >= 0, got -1"
+_ZERO_STEP_CAP = "step cap must be >= 1, got 0"
+_BAD_CAPS = [
+    (["md", "--exact-cap", "-1"], _NEGATIVE_CAP),
+    (["smd", "--mode", "exact", "--cap", "-1"], _NEGATIVE_CAP),
+    (["smd", "--mode", "maxgain-worst", "--cap", "-1"], _NEGATIVE_CAP),
+    (["smd", "--mode", "maxgain-greedy", "--cap", "0"], _ZERO_STEP_CAP),
+    (["game", "--target", "0", "--cap", "0"], _ZERO_STEP_CAP),
+    (["matrix", "qc", "--exact-cap", "-1"], _NEGATIVE_CAP),
+    (["matrix", "sqc", "--mode", "exact", "--cap", "-1"], _NEGATIVE_CAP),
+    (["matrix", "sqc", "--mode", "maxgain-worst", "--cap", "-1"], _NEGATIVE_CAP),
+    (["matrix", "sqc", "--mode", "maxgain-greedy", "--cap", "0"], _ZERO_STEP_CAP),
+]
+
+
+@pytest.mark.parametrize("argv, message", _BAD_CAPS, ids=[" ".join(argv) for argv, _ in _BAD_CAPS])
+@pytest.mark.parametrize("source", ["missing", "bad"])
+def test_bad_cap_rejected_before_input_is_read(capsys, tmp_path, argv, message, source):
+    """A cap outside its rule is a usage error (exit 2) found before the
+    input is opened: a missing file and an input with a domain error
+    (a disconnected graph, a matrix with equal columns) give the same
+    message."""
+    path = tmp_path / "in.txt"
+    if source == "bad":
+        path.write_text("2 3\n011\n011\n" if argv[0] == "matrix" else "4 2\n0 1\n2 3\n")
+    code, out, err = run_cli(capsys, *argv, "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"seqlocate: {message}\n"
 
 
 class TestUsage:

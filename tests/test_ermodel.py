@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -112,6 +113,8 @@ class TestParameterDerivation:
             er_parameters(100, 0.0)
         with pytest.raises(ValueError):
             er_parameters(100, 1.0)
+        with pytest.raises(ValueError, match="^force_i must be >= 0$"):
+            er_parameters(5000, 0.02, force_i=-1)
 
 
 class TestBoundPrediction:
@@ -246,6 +249,22 @@ class TestSampling:
         mean = p * n * (n - 1) / 2
         sd = math.sqrt(mean * (1 - p))
         assert abs(m - mean) < 6 * sd
+
+    def test_second_batch_continues_the_gaps(self):
+        """A batch of gaps that ends inside the triangle is followed by
+        another.  With every gap 1, a batch sized for p = 0.3 falls short
+        of the 66 pairs of G(12, 0.3), so the sampler draws more, and the
+        graph comes out complete."""
+        batches = []
+
+        class UnitGaps(np.random.Generator):
+            def geometric(self, p, size=None):
+                batches.append(size)
+                return np.ones(size, dtype=np.int64)
+
+        g = sample_gnp(12, 0.3, UnitGaps(np.random.PCG64(0)))
+        assert len(batches) > 1
+        assert g.edges() == list(combinations(range(12), 2))
 
     def test_extreme_probabilities(self):
         assert sample_gnp(30, 1.0, 0).num_edges == 30 * 29 // 2

@@ -114,6 +114,8 @@ class TestConfig:
         [
             ({"trials": "3"}, "trials must be an integer, got '3'"),
             ({"trials": True}, "trials must be an integer, got True"),
+            ({"trials": 0}, "trials must be >= 1"),
+            ({"sources_per_graph": 0}, "sources_per_graph must be >= 1"),
             ({"base_seed": "x"}, "base_seed must be an integer, got 'x'"),
             ({"threads": 2.5}, "threads must be an integer, got 2.5"),
             ({"sources_per_graph": None}, "sources_per_graph must be an integer, got None"),
@@ -216,6 +218,20 @@ class TestConfig:
         cfg = ExperimentConfig.from_json_file(path)
         assert cfg.kind == "threshold_sweep"
         assert cfg.m_values == [2, 8]
+
+
+@pytest.mark.parametrize(
+    "runner, kind",
+    [
+        (run_md_smd_sweep, "threshold_sweep"),
+        (run_threshold_sweep, "level_fractions"),
+        (run_level_fractions, "md_smd_sweep"),
+    ],
+)
+def test_runner_rejects_another_kinds_config(tmp_path, runner, kind):
+    cfg = base_config(tmp_path, kind=kind, caps={}, m_values=[4])
+    with pytest.raises(ValueError, match=f"^config kind is '{kind}'$"):
+        runner(cfg)
 
 
 class TestSeedDerivation:
@@ -369,6 +385,22 @@ class TestMdSmdSweep:
 
 
 class TestThresholdSweep:
+    def test_integer_q_values_write_the_float_rows(self, tmp_path):
+        """q given as the JSON integers 1 and 0 writes the same CSV as 1.0
+        and 0.0: the grid is read from ``cells()``, and a q of 0 or 1 gives
+        a constant matrix whatever the trial seed."""
+        texts = []
+        for q_values in ([1, 0.5, 0], [1.0, 0.5, 0.0]):
+            path = tmp_path / f"t{len(texts)}.csv"
+            cfg = base_config(
+                tmp_path, kind="threshold_sweep", n_values=[6], p_or_q=q_values, trials=3,
+                caps={}, m_values=[0, 2, 6], output_path=str(path),
+            )
+            run_experiment(cfg)
+            texts.append(path.read_text())
+        assert texts[0] == texts[1]
+        assert texts[0].splitlines()[1:4] == ["6,1,0,3,0", "6,1,2,3,0", "6,1,6,3,0"]
+
     def test_sharp_transition_at_tiny_scale(self, tmp_path):
         cfg = base_config(
             tmp_path,

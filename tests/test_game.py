@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from seqlocate import (
     AdversaryPolicy,
+    BinaryMatrix,
     CapExceededError,
     DisconnectedGraphError,
     GameState,
@@ -35,6 +36,7 @@ from seqlocate import (
     sample_gnp,
     smd_exact,
     smd_maxgain_worstcase,
+    sqc_play,
 )
 
 
@@ -75,6 +77,30 @@ class TestPolicies:
         for nodes in [(-1,), (2, -1)]:
             with pytest.raises(ValueError, match="nonnegative"):
                 Player1Policy.fixed_sequence(nodes)
+
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [((2, 0, 2), "^duplicate query node$"), ((), "^fixed-sequence policy needs at least one node$")],
+        ids=["duplicate", "empty"],
+    )
+    def test_sequence_is_a_query_set(self, nodes, message):
+        with pytest.raises(ValueError, match=message):
+            Player1Policy.fixed_sequence(nodes)
+
+
+class TestGameState:
+    @pytest.mark.parametrize(
+        "queries, observations, message",
+        [
+            ([0, 1], [1], "^queries and observations must have equal length$"),
+            ([2, 0, 2], [1, 1, 1], "^duplicate query node$"),
+            ([1, -1], [1, 1], "^query nodes must be nonnegative$"),
+        ],
+        ids=["unequal-lengths", "repeated-query", "negative-query"],
+    )
+    def test_rejects_bad_history(self, queries, observations, message):
+        with pytest.raises(ValueError, match=message):
+            GameState(queries=queries, observations=observations, candidates=np.arange(4))
 
 
 class TestPartitionAndScores:
@@ -195,6 +221,11 @@ class TestAdversaryAnswer:
         ans = adversary_answer(dm, initial_state(4), 0, AdversaryPolicy.exact_minimax())
         assert ans == 1
 
+    def test_fixed_target_out_of_range(self):
+        dm = distance_matrix(cycle_graph(4))
+        with pytest.raises(ValueError, match="^target 4 out of range$"):
+            adversary_answer(dm, initial_state(4), 0, AdversaryPolicy.fixed_target(4))
+
 
 class TestPlayGame:
     def test_transcript_on_cycle(self):
@@ -270,6 +301,36 @@ class TestPlayGame:
         for s in t.steps:
             assert s.answer == dm.d[s.query, target]
         assert t.final_candidates.tolist() == [target]
+
+
+def _graph_game(p1, p2, step_cap=None):
+    """A game on C_4: four targets, four queries."""
+    return play_game(distance_matrix(cycle_graph(4)), p1, p2, step_cap)
+
+
+def _matrix_game(p1, p2, step_cap=None):
+    """A game on a 2x4 matrix: four targets, two queries."""
+    bits = np.array([[0, 0, 1, 1], [0, 1, 0, 1]], dtype=np.uint8)
+    return sqc_play(BinaryMatrix(2, 4, bits), p1, p2, step_cap)
+
+
+@pytest.mark.parametrize("play, queries", [(_graph_game, 4), (_matrix_game, 2)], ids=["graph", "matrix"])
+@pytest.mark.parametrize(
+    "target, past_end, step_cap, message",
+    [
+        (4, False, None, "^target 4 out of range$"),
+        (0, True, None, "^fixed-sequence node out of range$"),
+        (0, False, 0, "^step cap must be >= 1, got 0$"),
+        (0, False, -3, "^step cap must be >= 1, got -3$"),
+    ],
+    ids=["target", "sequence", "cap-0", "cap-negative"],
+)
+def test_play_rejects_out_of_range_policy_and_cap(play, queries, target, past_end, step_cap, message):
+    """The graph game and the matrix game share one set of play checks; a
+    ``past_end`` sequence holds the first index past the last query."""
+    p1 = Player1Policy.fixed_sequence((0, queries)) if past_end else Player1Policy.max_gain()
+    with pytest.raises(ValueError, match=message):
+        play(p1, AdversaryPolicy.fixed_target(target), step_cap)
 
 
 class TestGameValues:

@@ -233,6 +233,10 @@ class TestDistances:
         with pytest.raises(IndexError):
             bfs_distances(path_graph(3), 3)
 
+    def test_matrix_shape_must_match_node_count(self):
+        with pytest.raises(ValueError, match="^distance matrix shape does not match node count$"):
+            graphs.DistanceMatrix(3, np.zeros((3, 4), dtype=np.int32))
+
     @pytest.mark.parametrize("seed", range(12))
     def test_engine_matches_plain_bfs(self, seed, block_budget):
         # p runs from 0.04 (disconnected, isolated nodes) to 0.26.
@@ -335,6 +339,11 @@ class TestLevelsAndDiameter:
         merged = sorted(int(v) for piece in pieces for v in piece)
         assert merged == list(range(30))
 
+    @pytest.mark.parametrize("v", [-1, 4])
+    def test_level_set_node_out_of_range(self, v):
+        with pytest.raises(IndexError, match=f"^node {v} out of range$"):
+            level_set(distance_matrix(cycle_graph(4)), v, 1)
+
     def test_path_diameter(self):
         assert diameter(distance_matrix(path_graph(4))) == 3
 
@@ -399,6 +408,8 @@ class TestEdgeListFormat:
         [
             "",
             "3\n",
+            "0 0\n",  # no nodes
+            "3 x\n",  # header value not an integer
             "3 1\n0 1\n2 2\n",  # count mismatch plus extra line
             "3 1\n0 3\n",  # index out of range
             "3 1\n1 1\n",  # self-loop

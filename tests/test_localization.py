@@ -91,6 +91,30 @@ class TestObservations:
         # node at distance 0 from both ends of P4 does not exist
         assert candidate_targets(dm, QuerySet((0, 3)), [0, 0]).size == 0
 
+    @pytest.mark.parametrize("nodes", [(0, 4), (4, 0), (4, 5)])
+    def test_query_out_of_range_rejected(self, nodes):
+        """Every reader of a query set names the first query outside the graph."""
+        dm = distance_matrix(cycle_graph(4))
+        r = QuerySet(nodes)
+        for call in (
+            lambda: is_resolving(dm, r),
+            lambda: observation_vector(dm, r, 0),
+            lambda: candidate_targets(dm, r, [0, 0]),
+        ):
+            with pytest.raises(IndexError, match="^query 4 out of range$"):
+                call()
+
+    @pytest.mark.parametrize("v", [-1, 4])
+    def test_target_out_of_range_rejected(self, v):
+        dm = distance_matrix(cycle_graph(4))
+        with pytest.raises(IndexError, match=f"^target {v} out of range$"):
+            observation_vector(dm, QuerySet((0,)), v)
+
+    def test_observation_length_must_match(self):
+        dm = distance_matrix(cycle_graph(4))
+        with pytest.raises(ValueError, match=r"^observation length 1 != \|R\| = 2$"):
+            candidate_targets(dm, QuerySet((0, 1)), [1])
+
 
 class TestIsResolving:
     def test_path_single_end_resolves(self):

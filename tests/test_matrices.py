@@ -269,6 +269,7 @@ class TestMatrixFormat:
         [
             "",
             "2\n01\n10\n",
+            "0 3\n",  # no rows
             "2 2\n01\n",  # missing row
             "2 2\n01\n10\n11\n",  # extra row
             "2 2\n012\n10\n",  # row too long
