@@ -97,12 +97,9 @@ class ExperimentConfig:
         _check_ints("m_values", self.m_values or [])
         if not self.n_values or any(n < 3 for n in self.n_values):
             raise ValueError("n_values must be nonempty with every n >= 3")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if self.sources_per_graph < 1:
-            raise ValueError("sources_per_graph must be >= 1")
+        for name in ("trials", "threads", "sources_per_graph"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if isinstance(self.p_or_q, str):
             if _P_RULE.match(self.p_or_q) is None:
                 raise ValueError(f"bad p rule {self.p_or_q!r}, expected 'c/N^a'")
@@ -489,7 +486,13 @@ def run_level_fractions(cfg: ExperimentConfig) -> list[LevelFractionRow]:
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run the config kind's experiment, write its CSV outputs (an md_smd
-    sweep also writes the per-cell summary file) and return a summary."""
+    sweep also writes the per-cell summary file) and return a summary.
+
+    An output directory that does not exist raises FileNotFoundError before
+    any trial runs."""
+    out_dir = Path(cfg.output_path).parent
+    if not out_dir.is_dir():
+        raise FileNotFoundError(f"output directory {str(out_dir)!r} does not exist")
     runner, columns = {
         KIND_MD_SMD_SWEEP: (run_md_smd_sweep, TRIAL_CSV_FIELDS),
         KIND_THRESHOLD_SWEEP: (run_threshold_sweep, THRESHOLD_CSV_FIELDS),

@@ -21,7 +21,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .graphs import DistanceMatrix, Graph, distance_matrix
+from .graphs import DistanceMatrix, Graph, _index_array, distance_matrix
 from .localization import (
     CapExceededError, QuerySet, _bitsets, _check_cap, _column_blocks, _distances, _label_counts, _label_table,
     _query_rows,
@@ -63,7 +63,7 @@ class Player1Policy:
 
     @classmethod
     def fixed_sequence(cls, nodes) -> "Player1Policy":
-        return cls("fixed-sequence", tuple(int(v) for v in nodes))
+        return cls("fixed-sequence", tuple(nodes))
 
 
 @dataclass(frozen=True)
@@ -77,14 +77,14 @@ class AdversaryPolicy:
         if self.kind not in _ADV_KINDS:
             raise ValueError(f"unknown adversary policy {self.kind!r}")
         if self.kind == "fixed-target":
-            if self.target is None or self.target < 0:
+            if self.target is None or _index_array(self.target, "targets") < 0:
                 raise ValueError("fixed-target policy needs a target node")
         elif self.target is not None:
             raise ValueError(f"policy {self.kind!r} takes no target")
 
     @classmethod
     def fixed_target(cls, target: int) -> "AdversaryPolicy":
-        return cls("fixed-target", int(target))
+        return cls("fixed-target", target)
 
     @classmethod
     def greedy_max_cell(cls) -> "AdversaryPolicy":
@@ -382,8 +382,6 @@ class _LabelGameEngine:
         """
         if mask is None:
             mask = self.full_mask
-        if mask & (mask - 1) == 0:
-            return 0
         upper = self.maxgain_worst_value(mask)
         if self._hi.get(mask, upper + 1) > upper:
             self._hi[mask] = upper
@@ -540,11 +538,12 @@ def _play_on_labels(
 
 
 def _checked(dm: DistanceMatrix, t, w: int | None = None) -> tuple[_LabelGameEngine, np.ndarray]:
-    """``dm``'s engine and the candidate set ``t`` as an array, after the
-    checks the stepwise functions share: ``t`` is nonempty and in range,
-    query ``w`` (when given) is in range, and the graph is connected (the
-    engine raises DisconnectedGraphError)."""
-    t = np.asarray(t)
+    """``dm``'s engine and the candidate set ``t`` as an int64 array, after
+    the checks the stepwise functions share: ``t`` is nonempty and in range,
+    query ``w`` (when given) is in range, both are integers
+    (``graphs._index_array``), and the graph is connected (the engine
+    raises DisconnectedGraphError)."""
+    t = _index_array(t, "candidates")
     if t.size == 0:
         raise ValueError("candidate set is empty")
     if t.min() < 0 or t.max() >= dm.n:
@@ -648,7 +647,7 @@ def f_separator_exists(
     time, and returns the first witness as soon as a block holds one, or
     (False, None).
     """
-    nodes = np.asarray(list(w_set) if isinstance(w_set, QuerySet) else w_set, dtype=np.int64)
+    nodes = _index_array(w_set, "nodes in W")
     if nodes.size == 0:
         raise ValueError("W must be nonempty")
     if nodes.min() < 0 or nodes.max() >= dm.n:

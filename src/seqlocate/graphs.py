@@ -48,7 +48,15 @@ class Graph:
         if n < 1:
             raise ValueError(f"node count must be positive, got {n}")
         edges = edges if isinstance(edges, np.ndarray) else list(edges)
-        pairs = _int64_ends(n, edges)
+        try:
+            ends = np.asarray(edges)
+        except ValueError:  # ragged: some edge is not a pair
+            raise ValueError(_not_a_pair(edges)) from None
+        if ends.size and ends.shape[1:] != (2,):
+            if isinstance(edges, np.ndarray):
+                raise ValueError(f"edges must be an (m, 2) array, got shape {ends.shape}")
+            raise ValueError(_not_a_pair(edges))
+        pairs = _index_array(ends, "edge ends").reshape(-1, 2)  # ends past int64 as Python ints
         self.n = n
         # Each end's array contiguous for the checks; sample_gnp's (2, m).T is not copied.
         self.indptr, self.indices = _build_csr(n, np.ascontiguousarray(pairs.T))
@@ -76,36 +84,26 @@ class Graph:
         return f"Graph(n={self.n}, m={self.num_edges})"
 
 
-def _int64_ends(n: int, edges) -> np.ndarray:
-    """The ends of ``edges`` (an array or a list of pairs) as (m, 2) int64.
-
-    Integer and bool arrays, and lists of ints that fit int64, convert in
-    one step.  Anything else is cast to int64 as a whole, which raises
-    OverflowError for an end past int64, and must then hold integers only,
-    since that cast truncates floats and parses strings.
+def _index_array(values, what: str) -> np.ndarray:
+    """The package's one index rule, for edge ends and node indices alike:
+    ``values`` (an array, a scalar or any iterable) as an int64 array, or
+    as an object array of Python ints when one is past int64, for the
+    caller's range check to name.  Integer and bool arrays convert in one
+    step, an int64 array with no copy; anything that is not an integer (a
+    float, even 1.0, a string or None) raises ValueError naming ``what``.
     """
+    if not isinstance(values, np.ndarray) and np.iterable(values):
+        values = list(values)
+    arr = np.asarray(values)  # a list holding an int past int64 gives uint64 or object
+    if np.can_cast(arr.dtype, np.int64):
+        return arr.astype(np.int64, copy=False)
+    kind = arr.dtype.kind
+    if arr.size and not (kind == "u" or kind == "O" and all(isinstance(x, numbers.Integral) for x in arr.flat)):
+        raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
     try:
-        ends = np.asarray(edges)  # a list of ints past int64 gives uint64, float or object
-    except ValueError:  # ragged: some edge is not a pair
-        raise ValueError(_not_a_pair(edges)) from None
-    if ends.size and ends.shape[1:] != (2,):
-        if isinstance(edges, np.ndarray):
-            raise ValueError(f"edges must be an (m, 2) array, got shape {ends.shape}")
-        raise ValueError(_not_a_pair(edges))
-    kind = ends.dtype.kind
-    if kind in "ib":
-        return ends.astype(np.int64, copy=False).reshape(-1, 2)
-    integral = kind == "u" or kind == "O" and all(isinstance(x, numbers.Integral) for x in ends.flat)
-    try:
-        cast = np.asarray(edges, dtype=np.int64)
-    except OverflowError:  # an end past int64: find the first bad edge on Python ints
-        pairs = np.array(edges, dtype=object).reshape(-1, 2)
-        raise ValueError(_first_bad_edge(n, *pairs.T)) from None
-    except (TypeError, ValueError):  # an end int() rejects, such as None or "a"
-        integral = False
-    if ends.size and not integral:
-        raise ValueError(f"edge ends must be integers, got dtype {ends.dtype}")
-    return cast.reshape(-1, 2)
+        return arr.astype(object).astype(np.int64)
+    except OverflowError:  # an integer past int64
+        return arr.astype(object)
 
 
 def _not_a_pair(edges: list) -> str:
@@ -234,7 +232,7 @@ def distances_from_sources(g: Graph, sources) -> np.ndarray:
     ``_BLOCK_WORDS`` words each, unless a block's single node alone
     exceeds that.
     """
-    src = np.asarray(sources, dtype=np.int64)
+    src = _index_array(sources, "sources")
     if src.ndim != 1 or src.size == 0:
         raise ValueError("sources must be a nonempty 1-d sequence")
     if np.unique(src).size != src.size:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DistanceMatrix, Graph, distance_matrix
+from .graphs import DistanceMatrix, Graph, _index_array, distance_matrix
 
 
 class CapExceededError(RuntimeError):
@@ -25,12 +25,13 @@ class CapExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuerySet:
-    """An ordered set of query nodes; indices are distinct and nonnegative."""
+    """An ordered set of query nodes; indices are distinct nonnegative
+    integers (``graphs._index_array``)."""
 
     nodes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(v < 0 for v in self.nodes):
+        if (_index_array(self.nodes, "query nodes") < 0).any():
             raise ValueError("query nodes must be nonnegative")
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("duplicate query node")
@@ -45,11 +46,11 @@ class QuerySet:
 def _query_rows(dm: DistanceMatrix, nodes) -> np.ndarray:
     """The query range rule: ``nodes``, any iterable of node indices, as an
     int64 index array; IndexError at the first that is not a node of ``dm``."""
-    rows = [int(v) for v in nodes]
-    for v in rows:
-        if not 0 <= v < dm.n:
-            raise IndexError(f"query {v} out of range")
-    return np.array(rows, dtype=np.int64)
+    rows = _index_array(nodes, "query nodes")
+    outside = (rows < 0) | (rows >= dm.n)
+    if outside.any():
+        raise IndexError(f"query {rows[outside.argmax()]} out of range")
+    return rows
 
 
 def observation_vector(dm: DistanceMatrix, r: QuerySet, v: int) -> np.ndarray:
@@ -62,9 +63,10 @@ def observation_vector(dm: DistanceMatrix, r: QuerySet, v: int) -> np.ndarray:
 def candidate_targets(dm: DistanceMatrix, r: QuerySet, obs) -> np.ndarray:
     """All nodes whose observation vector under ``r`` equals ``obs``.
 
-    An empty query set leaves every node a candidate.
+    An empty query set leaves every node a candidate, and an observation
+    that is not an integer matches no node.
     """
-    obs_arr = np.asarray(obs, dtype=np.int64)
+    obs_arr = np.asarray(obs)
     if obs_arr.shape != (len(r),):
         raise ValueError(f"observation length {obs_arr.size} != |R| = {len(r)}")
     mask = (dm.d[_query_rows(dm, r)] == obs_arr[:, None]).all(axis=0)

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 
 from seqlocate import Graph, is_connected, sample_gnp
+
+# pyproject.toml's pytest ``pythonpath`` puts src/ on this process's path;
+# the tests that run ``python -m seqlocate.cli`` in a subprocess get it too,
+# so the suite runs in a checkout where the package is not installed.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 ACCEPTANCE_RESULTS: list[str] = []
 

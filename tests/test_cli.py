@@ -531,3 +531,17 @@ def test_runtime_imports_are_numpy_only():
     new = set(json.loads(proc.stdout))
     assert new - sys.stdlib_module_names == {"numpy", "seqlocate"}
     assert not new & {"multiprocessing", "concurrent"}
+
+
+def test_sweep_missing_output_directory_usage_error(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "cfg.json"
+    out = tmp_path / "missing" / "out.csv"
+    path.write_text(json.dumps({
+        "kind": "md_smd_sweep", "n_values": [20], "p_or_q": [0.4], "trials": 2,
+        "base_seed": 1, "output_path": str(out),
+    }))
+    monkeypatch.setattr(experiments, "_run_trial", lambda cfg, task: pytest.fail("trial ran"))
+    code, stdout, err = run_cli(capsys, "sweep", "--config", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert err == f"seqlocate: output directory {str(out.parent)!r} does not exist\n"

@@ -552,3 +552,20 @@ class TestRunExperiment:
             base_config(tmp_path, output_path=str(tmp_path / "b.csv"), threads=3, **kw)
         )
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "kind, worker",
+    [("md_smd_sweep", "_run_trial"), ("threshold_sweep", "_run_threshold_cell"), ("level_fractions", "_run_level_cell")],
+)
+def test_missing_output_directory_fails_before_any_trial(tmp_path, monkeypatch, kind, worker):
+    """The output directory is checked before the runner starts: no trial
+    or cell runs, so the error does not wait for the whole sweep."""
+    ran = []
+    work = getattr(experiments, worker)
+    monkeypatch.setattr(experiments, worker, lambda cfg, task: ran.append(task) or work(cfg, task))
+    cfg = base_config(tmp_path, kind=kind, caps={}, output_path=str(tmp_path / "missing" / "out.csv"))
+    with pytest.raises(OSError, match="missing"):
+        run_experiment(cfg)
+    assert ran == []
+    assert not (tmp_path / "missing").exists()

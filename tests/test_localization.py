@@ -268,3 +268,11 @@ def test_exact_at_most_greedy(n, seed):
     assert is_resolving(dm, greedy)
     assert size <= len(greedy)
     assert size <= g.n - 1
+
+
+@pytest.mark.parametrize("obs", [[1.5], [0.5], [2**70]], ids=["one-and-a-half", "half", "past-int64"])
+def test_non_integer_observation_matches_no_node(obs):
+    """Observations are compared as given, never truncated to an integer."""
+    dm = distance_matrix(path_graph(4))
+    assert candidate_targets(dm, QuerySet((0,)), obs).size == 0
+    assert candidate_targets(dm, QuerySet((0,)), [1.0]).tolist() == [1]
