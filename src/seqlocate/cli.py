@@ -112,8 +112,7 @@ def _cmd_smd(args) -> int:
 def _cmd_game(args) -> int:
     game._check_step_cap(args.cap)
     g = _read(getattr(args, "in"), graphs.read_edge_list)
-    if not 0 <= args.target < g.n:
-        raise ValueError(f"target {args.target} out of range for n={g.n}")
+    graphs._node_indices(args.target, g.n, "target", "target {} out of range for n={n}", ValueError)
     dm = graphs.distance_matrix(g)
     transcript = game.play_game(
         dm,

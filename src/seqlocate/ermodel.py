@@ -56,7 +56,7 @@ class ErParameters:
 
 @dataclass(frozen=True)
 class BoundPrediction:
-    """Predicted step counts for one (n, p) pair.
+    """Leading terms of the step counts at one (n, p), not finite-n bounds.
 
     smd_upper comes from repeated gamma_smd shrinking of the candidate set;
     smd_lower is the eta-scaled version with the binary-search floor
@@ -159,7 +159,10 @@ def er_parameters(n: int, p: float, force_i: int | None = None) -> ErParameters:
 
 
 def bound_prediction(params: ErParameters) -> BoundPrediction:
-    """Step-count predictions from the decay parameters.
+    """Step-count predictions from the decay parameters: asymptotic leading
+    terms evaluated at finite n, not finite-n bounds.  At n = 250..2000 the
+    mean greedy resolving set is 0.49-0.72 of md_value, and one can fall
+    below smd_lower (README, Sweep configs).
 
     Requires ``params.regime_valid``; outside the window the gamma values
     do not mean anything and this raises rather than extrapolate.

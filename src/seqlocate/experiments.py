@@ -40,7 +40,8 @@ _MAX_RESAMPLES = 10
 
 _CAP_KEYS = ("step_cap", "exact_n_limit")
 
-_P_RULE = re.compile(r"^\s*([0-9.eE+-]+)\s*/\s*N\^\s*([0-9.eE+-]+)\s*$")
+_NUMBER = r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)"  # a token float() reads
+_P_RULE = re.compile(rf"^\s*{_NUMBER}\s*/\s*N\^\s*{_NUMBER}\s*$")
 
 
 def _check_ints(what: str, values) -> None:

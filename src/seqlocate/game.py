@@ -21,7 +21,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .graphs import DistanceMatrix, Graph, _index_array, distance_matrix
+from .graphs import DistanceMatrix, Graph, _node_indices, distance_matrix
 from .localization import (
     CapExceededError, QuerySet, _bitsets, _check_cap, _column_blocks, _distances, _label_counts, _label_table,
     _query_rows,
@@ -77,8 +77,7 @@ class AdversaryPolicy:
         if self.kind not in _ADV_KINDS:
             raise ValueError(f"unknown adversary policy {self.kind!r}")
         if self.kind == "fixed-target":
-            if self.target is None or _index_array(self.target, "targets") < 0:
-                raise ValueError("fixed-target policy needs a target node")
+            _node_indices(self.target, None, "target", "target {} out of range", ValueError, one=True)
         elif self.target is not None:
             raise ValueError(f"policy {self.kind!r} takes no target")
 
@@ -496,10 +495,10 @@ def _play_on_labels(
     subtracted from them.
     """
     nq, nt = engine.nq, engine.nt
-    if p2.kind == "fixed-target" and not p2.target < nt:
-        raise ValueError(f"target {p2.target} out of range")
-    if p1.kind == "fixed-sequence" and max(p1.sequence) >= nq:
-        raise ValueError("fixed-sequence node out of range")
+    if p2.kind == "fixed-target":
+        _node_indices(p2.target, nt, "target", "target {} out of range", ValueError)
+    if p1.kind == "fixed-sequence":
+        _node_indices(p1.sequence, nq, "query nodes", "fixed-sequence node out of range", ValueError)
     _check_step_cap(step_cap)
     cap = nt if step_cap is None else step_cap
     t = np.arange(nt)
@@ -539,17 +538,14 @@ def _play_on_labels(
 
 def _checked(dm: DistanceMatrix, t, w: int | None = None) -> tuple[_LabelGameEngine, np.ndarray]:
     """``dm``'s engine and the candidate set ``t`` as an int64 array, after
-    the checks the stepwise functions share: ``t`` is nonempty and in range,
-    query ``w`` (when given) is in range, both are integers
-    (``graphs._index_array``), and the graph is connected (the engine
-    raises DisconnectedGraphError)."""
-    t = _index_array(t, "candidates")
+    the checks the stepwise functions share: ``t`` is nonempty, ``t`` and
+    query ``w`` (one node, when given) pass the node rule, and the graph is
+    connected (the engine raises DisconnectedGraphError)."""
+    t = _node_indices(t, dm.n, "candidates", "candidate out of range")
     if t.size == 0:
         raise ValueError("candidate set is empty")
-    if t.min() < 0 or t.max() >= dm.n:
-        raise IndexError("candidate out of range")
     if w is not None:
-        _query_rows(dm, (w,))
+        _node_indices(w, dm.n, "query", "query {} out of range", one=True)
     return dm._engine, t
 
 
@@ -593,8 +589,8 @@ def adversary_answer(dm: DistanceMatrix, state: GameState, w: int, policy: Adver
     the same ``dm`` proved.
     """
     engine, t = _checked(dm, state.candidates, w)
-    if policy.kind == "fixed-target" and policy.target >= dm.n:
-        raise ValueError(f"target {policy.target} out of range")
+    if policy.kind == "fixed-target":
+        _node_indices(policy.target, dm.n, "target", "target {} out of range", ValueError)
     return engine.answer(t, w, policy)
 
 
@@ -647,11 +643,9 @@ def f_separator_exists(
     time, and returns the first witness as soon as a block holds one, or
     (False, None).
     """
-    nodes = _index_array(w_set, "nodes in W")
+    nodes = _node_indices(w_set, dm.n, "nodes in W", "node in W out of range")
     if nodes.size == 0:
         raise ValueError("W must be nonempty")
-    if nodes.min() < 0 or nodes.max() >= dm.n:
-        raise IndexError("node in W out of range")
     engine = dm._engine
     bound = nodes.size * gamma + f_value
     for c0, c1 in _column_blocks(dm.n, nodes.size, engine.compact_table()[1]):

@@ -66,8 +66,7 @@ class Graph:
         return self.indices.size // 2
 
     def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise IndexError(f"node {v} out of range")
+        v = _node_indices(v, self.n, "node", "node {} out of range", one=True)
         return int(self.indptr[v + 1] - self.indptr[v])
 
     def edges(self) -> list[tuple[int, int]]:
@@ -85,7 +84,7 @@ class Graph:
 
 
 def _index_array(values, what: str) -> np.ndarray:
-    """The package's one index rule, for edge ends and node indices alike:
+    """The package's one integer rule, for edge ends and node indices alike:
     ``values`` (an array, a scalar or any iterable) as an int64 array, or
     as an object array of Python ints when one is past int64, for the
     caller's range check to name.  Integer and bool arrays convert in one
@@ -104,6 +103,19 @@ def _index_array(values, what: str) -> np.ndarray:
         return arr.astype(object).astype(np.int64)
     except OverflowError:  # an integer past int64
         return arr.astype(object)
+
+
+def _node_indices(values, n: int | None, what: str, message: str, error=IndexError, *, one=False) -> np.ndarray:
+    """The package's one node rule: ``values`` as int64 indices by the integer
+    rule (``_index_array``), one node if ``one`` (else ValueError), each in
+    0..n-1 (n None: >= 0), else ``error(message.format(first outside, n=n))``."""
+    nodes = _index_array(values, what)
+    if one and nodes.ndim:
+        raise ValueError(f"{what} must be one node, got shape {nodes.shape}")
+    outside = nodes < 0 if n is None else (nodes < 0) | (nodes >= n)
+    if outside.any():
+        raise error(message.format(nodes.reshape(-1)[outside.argmax()], n=n))
+    return nodes
 
 
 def _not_a_pair(edges: list) -> str:
@@ -191,8 +203,7 @@ def bfs_distances(g: Graph, v: int) -> np.ndarray:
     This is the reference implementation; ``distance_matrix`` uses a packed
     multi-source engine and is cross-checked against this one.
     """
-    if not 0 <= v < g.n:
-        raise IndexError(f"source {v} out of range for n={g.n}")
+    v = int(_node_indices(v, g.n, "source", "source {} out of range for n={n}", one=True))
     dist = np.full(g.n, UNREACHABLE, dtype=np.int32)
     dist[v] = 0
     queue = deque([v])
@@ -232,13 +243,11 @@ def distances_from_sources(g: Graph, sources) -> np.ndarray:
     ``_BLOCK_WORDS`` words each, unless a block's single node alone
     exceeds that.
     """
-    src = _index_array(sources, "sources")
+    src = _node_indices(sources, g.n, "sources", "source out of range")
     if src.ndim != 1 or src.size == 0:
         raise ValueError("sources must be a nonempty 1-d sequence")
     if np.unique(src).size != src.size:
         raise ValueError("duplicate source nodes")
-    if src.min() < 0 or src.max() >= g.n:
-        raise IndexError("source out of range")
     n = g.n
     s = src.size
     words = (s + 63) // 64
@@ -394,8 +403,7 @@ def is_connected(g: Graph) -> bool:
 
 def level_set(dm: DistanceMatrix, v: int, l: int) -> np.ndarray:
     """Nodes at hop distance exactly ``l`` from ``v``, sorted ascending."""
-    if not 0 <= v < dm.n:
-        raise IndexError(f"node {v} out of range")
+    v = _node_indices(v, dm.n, "node", "node {} out of range", one=True)
     return np.nonzero(dm.d[v] == l)[0]
 
 

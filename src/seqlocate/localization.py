@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DistanceMatrix, Graph, _index_array, distance_matrix
+from .graphs import DistanceMatrix, Graph, _node_indices, distance_matrix
 
 
 class CapExceededError(RuntimeError):
@@ -26,13 +26,12 @@ class CapExceededError(RuntimeError):
 @dataclass(frozen=True)
 class QuerySet:
     """An ordered set of query nodes; indices are distinct nonnegative
-    integers (``graphs._index_array``)."""
+    integers (``graphs._node_indices``)."""
 
     nodes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if (_index_array(self.nodes, "query nodes") < 0).any():
-            raise ValueError("query nodes must be nonnegative")
+        _node_indices(self.nodes, None, "query nodes", "query nodes must be nonnegative", ValueError)
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("duplicate query node")
 
@@ -44,19 +43,13 @@ class QuerySet:
 
 
 def _query_rows(dm: DistanceMatrix, nodes) -> np.ndarray:
-    """The query range rule: ``nodes``, any iterable of node indices, as an
-    int64 index array; IndexError at the first that is not a node of ``dm``."""
-    rows = _index_array(nodes, "query nodes")
-    outside = (rows < 0) | (rows >= dm.n)
-    if outside.any():
-        raise IndexError(f"query {rows[outside.argmax()]} out of range")
-    return rows
+    """``nodes``, any iterable of query nodes of ``dm``, by the node rule."""
+    return _node_indices(nodes, dm.n, "query nodes", "query {} out of range")
 
 
 def observation_vector(dm: DistanceMatrix, r: QuerySet, v: int) -> np.ndarray:
     """Distances from each query in ``r`` to target ``v``, in query order."""
-    if not 0 <= v < dm.n:
-        raise IndexError(f"target {v} out of range")
+    v = _node_indices(v, dm.n, "target", "target {} out of range", one=True)
     return dm.d[_query_rows(dm, r), v]
 
 
@@ -68,7 +61,8 @@ def candidate_targets(dm: DistanceMatrix, r: QuerySet, obs) -> np.ndarray:
     """
     obs_arr = np.asarray(obs)
     if obs_arr.shape != (len(r),):
-        raise ValueError(f"observation length {obs_arr.size} != |R| = {len(r)}")
+        got = f"length {obs_arr.size}" if obs_arr.ndim == 1 else f"shape {obs_arr.shape}"
+        raise ValueError(f"observation {got} != |R| = {len(r)}")
     mask = (dm.d[_query_rows(dm, r)] == obs_arr[:, None]).all(axis=0)
     return np.nonzero(mask)[0]
 

@@ -146,6 +146,10 @@ class TestConfig:
             ({"p_or_q": [0]}, r"cell n=20, p=0\.0: need 0 < p < 1"),
             ({"p_or_q": [float("nan")]}, "cell n=20, p=nan: need 0 < p < 1"),
             ({"p_or_q": "1/N^-1e10"}, r"p rule '1/N\^-1e10': "),
+            ({"p_or_q": "1.2.3/N^0.5"}, r"^bad p rule '1\.2\.3/N\^0\.5', expected 'c/N\^a'$"),
+            ({"p_or_q": "-/N^1"}, r"^bad p rule '-/N\^1', expected 'c/N\^a'$"),
+            ({"p_or_q": "e/N^1"}, r"^bad p rule 'e/N\^1', expected 'c/N\^a'$"),
+            ({"p_or_q": "1/N^+"}, r"^bad p rule '1/N\^\+', expected 'c/N\^a'$"),
             (
                 {"kind": "level_fractions", "p_or_q": [1.5], "caps": {}},
                 r"cell n=20, p=1\.5: need 0 < p < 1",

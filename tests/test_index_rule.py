@@ -1,7 +1,8 @@
 """The one index rule: every node index the package reads is an integer.
 
 A float index (even 1.0) raises ValueError at every entry point, as an edge
-end does in ``Graph``; Python and numpy integers give the same results.
+end does in ``Graph``; Python and numpy integers give the same results.  A
+reader of one node (a target, a source) rejects a list with ValueError.
 """
 
 from __future__ import annotations
@@ -16,12 +17,15 @@ from seqlocate import (
     Player1Policy,
     QuerySet,
     adversary_answer,
+    bfs_distances,
     distance_matrix,
     distance_partition,
     distances_from_sources,
     f_separator_exists,
     initial_state,
+    level_set,
     max_gain_query,
+    observation_vector,
     play_game,
     reducer_score,
 )
@@ -54,6 +58,10 @@ ENTRY_POINTS = {
     "candidates-score": lambda v: reducer_score(DM, [v, 3], 0),
     "candidates-max-gain": lambda v: max_gain_query(DM, GameState([], [], np.array([v, 3]))),
     "sources": lambda v: distances_from_sources(G, [v, 3]).tolist(),
+    "observation-target": lambda v: observation_vector(DM, QuerySet((0, 3)), v).tolist(),
+    "level-set-node": lambda v: level_set(DM, v, 1).tolist(),
+    "bfs-source": lambda v: bfs_distances(G, v).tolist(),
+    "degree": lambda v: G.degree(v),
 }
 
 
@@ -87,6 +95,26 @@ def test_query_past_int64_out_of_range():
 def test_scalar_sources_rejected():
     with pytest.raises(ValueError, match="nonempty 1-d"):
         distances_from_sources(G, 3)
+
+
+# The entry points above that read one node, not a set of nodes.
+ONE_NODE_READERS = [
+    "observation-target", "level-set-node", "bfs-source", "degree",
+    "stepwise-w-partition", "stepwise-w-score", "stepwise-w-answer",
+]
+
+
+@pytest.mark.parametrize("index", [[1], np.array([1]), [1, 2]], ids=["list", "array", "two"])
+@pytest.mark.parametrize("call", ONE_NODE_READERS)
+def test_scalar_reader_takes_one_node(call, index):
+    with pytest.raises(ValueError, match=r"must be one node, got shape \((1|2),\)$"):
+        ENTRY_POINTS[call](index)
+
+
+@pytest.mark.parametrize("target", [[1], [1, 2]], ids=["one-element", "two"])
+def test_fixed_target_is_one_node(target):
+    with pytest.raises(ValueError, match=r"^target must be one node, got shape"):
+        AdversaryPolicy.fixed_target(target)
 
 
 @pytest.mark.parametrize("index", ["1", None], ids=["string", "none"])

@@ -115,6 +115,11 @@ class TestObservations:
         with pytest.raises(ValueError, match=r"^observation length 1 != \|R\| = 2$"):
             candidate_targets(dm, QuerySet((0, 1)), [1])
 
+    def test_observation_not_1d_names_its_shape(self):
+        dm = distance_matrix(cycle_graph(4))
+        with pytest.raises(ValueError, match=r"^observation shape \(1, 3\) != \|R\| = 3$"):
+            candidate_targets(dm, QuerySet((0, 1, 2)), [[0, 1, 2]])
+
 
 class TestIsResolving:
     def test_path_single_end_resolves(self):
