@@ -177,22 +177,45 @@ class _LabelGameEngine:
         if labels.ndim != 2 or labels.shape[0] == 0 or labels.shape[1] == 0:
             raise ValueError("label table must be 2-d and nonempty")
         self.labels = labels
+        self._compact_source = labels  # the (queries, targets) table compact_table casts
         self.nq, self.nt = labels.shape
         self._compact: tuple[np.ndarray, int] | None = None
+        self._full: np.ndarray | None = None
         self._worst_memo: dict[int, int] = {}
         self._lo: dict[int, int] = {}  # proven lower bounds of the game value
         self._hi: dict[int, int] = {}  # proven upper bounds of the game value
         self._search: tuple[list[tuple[int, ...]], list[int], list[int]] | None = None
         self.expanded = 0  # masks whose queries the decision search scored
 
+    @classmethod
+    def symmetric(cls, labels: np.ndarray) -> "_LabelGameEngine":
+        """The engine of a symmetric table, ``labels[w, t] == labels[t, w]``
+        (a graph's distances).  The table is its own transpose, so
+        ``compact_table`` hands ``_label_table`` the transposed view, which
+        comes back with no transpose: in place when the table is already
+        the narrowest dtype, as ``distance_matrix`` writes it."""
+        engine = cls(labels)
+        engine._compact_source = engine.labels.T
+        return engine
+
     # ---- array path -------------------------------------------------
 
     def compact_table(self) -> tuple[np.ndarray, int]:
-        """The table in ``_label_table`` form and its width, cast and
-        transposed once per engine."""
+        """The table in ``_label_table`` form and its width, built once per
+        engine (see ``symmetric``)."""
         if self._compact is None:
-            self._compact = _label_table(self.labels)
+            self._compact = _label_table(self._compact_source)
         return self._compact
+
+    def full_counts(self) -> np.ndarray:
+        """``_label_counts`` of every target, counted once per engine for
+        greedy round 1 and MAX-GAIN's first step.  Read-only: a reader
+        that updates counts builds its own array."""
+        if self._full is None:
+            table, width = self.compact_table()
+            self._full = _label_counts(table, np.arange(self.nt), width)
+            self._full.flags.writeable = False
+        return self._full
 
     def largest_cells(self, t: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Size of the largest cell of ``t`` under each query lo..hi-1,
@@ -490,9 +513,10 @@ def _play_on_labels(
 
     MAX-GAIN keeps the (labels, queries) counts of the candidate set across
     its steps (``_label_counts``) and reads each step's largest cells from
-    them.  After an answer it counts whichever side is smaller: the kept
-    cell, which replaces the counts, or the removed rest, which is
-    subtracted from them.
+    them, starting from the engine's ``full_counts``.  After an answer it
+    counts whichever side is smaller: the kept cell, which replaces the
+    counts, or the removed rest, which is subtracted from them into a new
+    array, so the engine's shared counts stay as they are.
     """
     nq, nt = engine.nq, engine.nt
     if p2.kind == "fixed-target":
@@ -507,9 +531,9 @@ def _play_on_labels(
     transcript = Transcript(initial_candidates=nt)
     while t.size > 1 and len(transcript.steps) < cap:
         if p1.kind == "max-gain":
-            if counts is None:
+            if counts is None:  # the first step: t is every target
                 table, width = engine.compact_table()
-                counts = _label_counts(table, t, width)
+                counts = engine.full_counts()
             w, _ = _min_largest_cell(counts.max(axis=0), unqueried, t.size)
         elif p1.kind == "exact-minimax":
             w = engine.exact_p1_choice(engine.mask_of(t))
@@ -523,7 +547,7 @@ def _play_on_labels(
             if 2 * np.count_nonzero(kept) <= t.size:
                 counts = _label_counts(table, t[kept], width)
             else:
-                counts -= _label_counts(table, t[~kept], width)
+                counts = counts - _label_counts(table, t[~kept], width)
         t = t[kept]
         if t.size == 0:  # pragma: no cover - answers are always consistent
             raise RuntimeError("inconsistent answer emptied the candidate set")
@@ -567,14 +591,15 @@ def reducer_score(dm: DistanceMatrix, t: np.ndarray, w: int) -> int:
 def max_gain_query(dm: DistanceMatrix, state: GameState, pool=None) -> int:
     """The MAX-GAIN choice: query minimizing the worst remaining cell.
 
-    The default pool is every node not yet queried.  Ties go to the lowest
-    node index.
+    The default pool is every node not yet queried; the query history, as
+    a given pool, passes the node rule against ``dm.n``.  Ties go to the
+    lowest node index.
     """
     if state.candidates.size < 2:
         raise ValueError("max-gain needs at least two candidates")
     engine, t = _checked(dm, state.candidates)
     if pool is None:
-        pool = np.setdiff1d(np.arange(dm.n), state.queries)
+        pool = np.setdiff1d(np.arange(dm.n), _query_rows(dm, state.queries))
     else:
         pool = _query_rows(dm, pool)
     in_pool = np.zeros(dm.n, dtype=bool)

@@ -2,9 +2,10 @@
 
 Simple undirected graphs on the dense node range 0..n-1, hop-distance
 computation, distance level sets, and a plain-text edge-list format.
-Distances are exact BFS hop counts; unreachable pairs carry the
-``UNREACHABLE`` sentinel, which compares strictly greater than any real
-distance.
+Distances are exact BFS hop counts.  A distance table holds them in an
+integer dtype whose largest value marks a pair with no path, so that value
+compares strictly greater than any real distance; in an int32 table it is
+the ``UNREACHABLE`` sentinel.
 """
 
 from __future__ import annotations
@@ -172,19 +173,34 @@ def _first_bad_edge(n: int, u: np.ndarray, v: np.ndarray) -> str:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """All-pairs hop distances; ``d[v, w]`` is the distance from v to w."""
+    """All-pairs hop distances; ``table[v, w]`` is the distance from v to w.
+
+    ``table`` is (n, n) and symmetric, in an integer dtype whose largest
+    value marks a pair with no path.  ``distance_matrix`` writes the
+    narrowest unsigned dtype that holds every level: uint8 while the
+    diameter is below 255.  The engine, and so every solver, reads it in
+    place, as does ``is_resolving``; ``level_set``, ``diameter``,
+    ``observation_vector`` and ``candidate_targets`` widen only what they
+    read.  ``d`` is the same distances as int32 with ``UNREACHABLE``,
+    widened from ``table`` on first read and cached.
+    """
 
     n: int
-    d: np.ndarray  # (n, n) int32, UNREACHABLE where no path exists
+    table: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.d.shape != (self.n, self.n):
+        if self.table.shape != (self.n, self.n):
             raise ValueError("distance matrix shape does not match node count")
 
     @cached_property
+    def d(self) -> np.ndarray:
+        """(n, n) int32, UNREACHABLE where no path exists."""
+        return _widened(self.table)
+
+    @cached_property
     def _engine(self):
-        """The game engine over ``d``, built on first use and shared by every
-        solver and stepwise function given this matrix.
+        """The game engine over ``table``, built on first use and shared by
+        every solver and stepwise function given this matrix.
 
         Building it is the connectivity check: it raises
         DisconnectedGraphError when some pair has no path.
@@ -192,9 +208,21 @@ class DistanceMatrix:
         from .game import _LabelGameEngine  # game imports this module
 
         # Undirected: row 0 is finite iff every node reaches node 0.
-        if (self.d[0] == UNREACHABLE).any():
+        if (self.table[0] == np.iinfo(self.table.dtype).max).any():
             raise DisconnectedGraphError("the graph is disconnected")
-        return _LabelGameEngine(self.d)
+        return _LabelGameEngine.symmetric(self.table)
+
+
+def _widened(table: np.ndarray, dtype=np.int32) -> np.ndarray:
+    """The distance table ``table`` as a C-ordered array of the integer
+    ``dtype``, its largest value (no path) mapped to ``dtype``'s largest:
+    the one widening rule of every distance table.  The default gives
+    ``d``, int32 with ``UNREACHABLE``; a C-ordered table already in
+    ``dtype`` is not copied."""
+    wide = np.asarray(table, dtype=dtype, order="C")
+    if wide.dtype != table.dtype:
+        wide[table == np.iinfo(table.dtype).max] = np.iinfo(dtype).max
+    return wide
 
 
 def bfs_distances(g: Graph, v: int) -> np.ndarray:
@@ -218,7 +246,14 @@ def bfs_distances(g: Graph, v: int) -> np.ndarray:
 
 
 def distances_from_sources(g: Graph, sources) -> np.ndarray:
-    """Hop distances from each source node, one row per source.
+    """Hop distances from each source node, one row per source, as int32
+    with ``UNREACHABLE`` where no path exists (``_distance_table``)."""
+    return _widened(_distance_table(g, sources).T)
+
+
+def _distance_table(g: Graph, sources) -> np.ndarray:
+    """Hop distances from each source node, as (node, source) rows: row v
+    holds v's distance to every source, in the caller's source order.
 
     Runs all s sources at once (bit-parallel BFS, cf. Akiba, Iwata and
     Yoshida, SIGMOD 2013): source k is lane k, and every node carries a
@@ -231,14 +266,20 @@ def distances_from_sources(g: Graph, sources) -> np.ndarray:
     a time, with ``np.bitwise_or.reduceat``.  A node that every lane has
     reached leaves the open set, even partway through its arc list, and
     the search stops once no node is open or a level adds nothing.
-    Unreachable pairs keep ``UNREACHABLE``.
+
+    The output is the narrowest unsigned table that holds every level,
+    with the dtype's largest value for a pair with no path.  It starts as
+    uint8; a level that reaches the largest value widens it once to the
+    next unsigned dtype (uint16 at level 255) and remaps the unreached
+    entries, so the graphs of a sweep stay uint8 and a path or cycle of
+    1000 nodes ends in uint16.
 
     Cost per level is O(words * sum of the open nodes' degrees) for the
     reductions, and far less on dense graphs, where a few dozen neighbours
     cover every lane, plus O(s * open nodes) to write the new distances:
     a block that gained many lanes subtracts its whole gained mask from
     its rows, one that gained few sets them through it (``_few_gained``).
-    Memory is the (s, n) int32 output, three (n, words) bitsets (reach, the
+    Memory is the (n, s) output, three (n, words) bitsets (reach, the
     frontier and the next frontier) and per-block temporaries of at most
     ``_BLOCK_WORDS`` words each, unless a block's single node alone
     exceeds that.
@@ -256,25 +297,24 @@ def distances_from_sources(g: Graph, sources) -> np.ndarray:
     lanes = np.arange(s)
     lane_of = np.full(n, s, dtype=np.int64)  # s: the spare lane of non-sources
     lane_of[src] = lanes
-    # Distances are written as (node, lane) rows: row v holds v's distance
-    # to every source, in the caller's source order.
-    out = np.full((n, s), UNREACHABLE, dtype=np.int32)
+    top = np.iinfo(np.uint8).max  # the no-path value of the current dtype
+    out = np.full((n, s), top, dtype=np.uint8)
     out[src, lanes] = 0
 
     # Level 1: the arcs into each node, scattered onto the lanes of their
     # source tails in a uint8 plane with one spare column, where the arcs
     # from non-sources land, then packed into the frontier bits.  A block's
     # cost counts, per node, the neighbour indices it reads (one each, not
-    # a bitset) and its int32 output row, 32 words per word of lanes.
+    # a bitset) and its output row, 8 words per word of lanes in uint8.
     frontier = np.zeros((n, words), dtype=np.uint64)
-    for lo, hi in _blocks(degree + 32 * words, _BLOCK_WORDS):
+    for lo, hi in _blocks(degree + 8 * words, _BLOCK_WORDS):
         plane = np.zeros((hi - lo, s + 1), dtype=np.uint8)
         slots = np.repeat(np.arange(0, (hi - lo) * (s + 1), s + 1), degree[lo:hi])
         slots += lane_of[indices[indptr[lo]:indptr[hi]]]
         plane.reshape(-1)[slots] = 1
         plane = plane[:, :s]
-        # A lane set here is a source's neighbour, so still UNREACHABLE.
-        out[lo:hi] -= plane * np.int32(UNREACHABLE - 1)
+        # A lane set here is a source's neighbour, so still unreached.
+        out[lo:hi] -= plane * np.uint8(top - 1)
         frontier.view(np.uint8)[lo:hi, :(s + 7) // 8] = np.packbits(plane, axis=1, bitorder="little")
     reach = frontier.copy()
     reach.view(np.uint8)[src, lanes // 8] |= (1 << (lanes % 8)).astype(np.uint8)
@@ -290,13 +330,17 @@ def distances_from_sources(g: Graph, sources) -> np.ndarray:
     level = 1
     while open_nodes.size and frontier.any():
         level += 1
+        if level == top:  # the level would read as no path: widen once
+            out = _widened(out, np.dtype(f"u{2 * out.itemsize}"))
+            top = np.iinfo(out.dtype).max
+        row_words = 8 * out.itemsize  # one output row per word of lanes
         nodes, cursor = open_nodes, indptr[open_nodes]
         run_cap = _FIRST_RUN
         left_open = []
         while nodes.size:
             run = np.minimum(indptr[nodes + 1] - cursor, run_cap)
             not_full = np.empty(nodes.size, dtype=bool)
-            for lo, hi in _blocks((run + 32) * words, _BLOCK_WORDS):
+            for lo, hi in _blocks((run + row_words) * words, _BLOCK_WORDS):
                 b = nodes[lo:hi]
                 arcs, starts = _runs(cursor[lo:hi], run[lo:hi])
                 gained = np.bitwise_or.reduceat(frontier[indices[arcs]], starts, axis=0)
@@ -311,8 +355,9 @@ def distances_from_sources(g: Graph, sources) -> np.ndarray:
                     rows[mask.view(bool)] = level
                 else:
                     # A gained lane had not reached the node, so its entry
-                    # is still UNREACHABLE, and subtracting lands it on level.
-                    rows -= mask * np.int32(UNREACHABLE - level)
+                    # is still the no-path value, and subtracting lands it
+                    # on level.
+                    rows -= mask * out.dtype.type(top - level)
                 out[b] = rows
                 not_full[lo:hi] = (old != full).any(axis=1)
             cursor = cursor + run
@@ -323,12 +368,10 @@ def distances_from_sources(g: Graph, sources) -> np.ndarray:
         open_nodes = np.sort(np.concatenate(left_open))
         frontier, nxt = nxt, frontier
         nxt[:] = 0
-    if s == n and (src == np.arange(n)).all():
-        return out  # undirected: row v, lane w is d(w, v) = d(v, w)
-    return np.ascontiguousarray(out.T)
+    return out
 
 
-# Per-block work of ``distances_from_sources``, in uint64 words: the
+# Per-block work of ``_distance_table``, in uint64 words: the
 # neighbour bitsets a block of nodes gathers, or its output rows.  2**16
 # words (512 KiB) keeps a block in cache; 2**20 ran 1.5x slower at n=2000.
 _BLOCK_WORDS = 2**16
@@ -340,7 +383,7 @@ _FIRST_RUN = 64
 
 def _few_gained(gained: np.ndarray) -> bool:
     """True when under half of a block's ``gained`` words are nonzero, the
-    write form rule of ``distances_from_sources``.  Setting the gained
+    write form rule of ``_distance_table``.  Setting the gained
     lanes through a boolean mask costs per lane set, a subtraction of the
     whole mask per lane held; they break even near 2% of lanes set, which
     on lanes spread at random leaves about half the words zero.  A cycle's
@@ -370,8 +413,9 @@ def _blocks(cost: np.ndarray, budget: int):
 
 
 def distance_matrix(g: Graph) -> DistanceMatrix:
-    """All-pairs hop distances for ``g``."""
-    return DistanceMatrix(g.n, distances_from_sources(g, np.arange(g.n)))
+    """All-pairs hop distances for ``g``, in the narrow table of
+    ``_distance_table`` (row v, lane w is d(v, w))."""
+    return DistanceMatrix(g.n, _distance_table(g, np.arange(g.n)))
 
 
 def is_connected(g: Graph) -> bool:
@@ -404,12 +448,12 @@ def is_connected(g: Graph) -> bool:
 def level_set(dm: DistanceMatrix, v: int, l: int) -> np.ndarray:
     """Nodes at hop distance exactly ``l`` from ``v``, sorted ascending."""
     v = _node_indices(v, dm.n, "node", "node {} out of range", one=True)
-    return np.nonzero(dm.d[v] == l)[0]
+    return np.nonzero(_widened(dm.table[v]) == l)[0]
 
 
 def diameter(dm: DistanceMatrix) -> int:
     """Largest hop distance, or UNREACHABLE if the graph is disconnected."""
-    return int(dm.d.max())
+    return int(_widened(dm.table.max(keepdims=True))[0, 0])
 
 
 def _read_header(text: str, error: type[ValueError], names: str) -> tuple[int, int, list[str]]:

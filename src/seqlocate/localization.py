@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DistanceMatrix, Graph, _node_indices, distance_matrix
+from .graphs import DistanceMatrix, Graph, _node_indices, _widened, distance_matrix
 
 
 class CapExceededError(RuntimeError):
@@ -50,7 +50,7 @@ def _query_rows(dm: DistanceMatrix, nodes) -> np.ndarray:
 def observation_vector(dm: DistanceMatrix, r: QuerySet, v: int) -> np.ndarray:
     """Distances from each query in ``r`` to target ``v``, in query order."""
     v = _node_indices(v, dm.n, "target", "target {} out of range", one=True)
-    return dm.d[_query_rows(dm, r), v]
+    return _widened(dm.table[_query_rows(dm, r), v])
 
 
 def candidate_targets(dm: DistanceMatrix, r: QuerySet, obs) -> np.ndarray:
@@ -63,7 +63,7 @@ def candidate_targets(dm: DistanceMatrix, r: QuerySet, obs) -> np.ndarray:
     if obs_arr.shape != (len(r),):
         got = f"length {obs_arr.size}" if obs_arr.ndim == 1 else f"shape {obs_arr.shape}"
         raise ValueError(f"observation {got} != |R| = {len(r)}")
-    mask = (dm.d[_query_rows(dm, r)] == obs_arr[:, None]).all(axis=0)
+    mask = (_widened(dm.table[_query_rows(dm, r)]) == obs_arr[:, None]).all(axis=0)
     return np.nonzero(mask)[0]
 
 
@@ -72,7 +72,7 @@ def is_resolving(dm: DistanceMatrix, r: QuerySet) -> bool:
     rows = _query_rows(dm, r)
     if rows.size == 0:
         return dm.n <= 1
-    return _equal_pairs(dm.d[rows]) == 0
+    return _equal_pairs(dm.table[rows]) == 0
 
 
 def _equal_pairs(table: np.ndarray) -> int:
@@ -255,11 +255,14 @@ def _label_table(labels: np.ndarray) -> tuple[np.ndarray, int]:
     dtype that holds every label, and the label width (largest label + 1).
 
     Rows are targets, so gathering the active targets reads whole rows.
+    The result is C-ordered, and copies only what the cast and the
+    transpose need: the transposed view of a C-ordered table already in
+    that dtype comes back as the table itself.
     """
-    if labels.size and labels.min() < 0:
+    if labels.size and labels.dtype.kind not in "bu" and labels.min() < 0:
         raise ValueError("labels must be nonnegative")
     width = int(labels.max()) + 1 if labels.size else 1
-    return labels.astype(np.min_scalar_type(width - 1)).T.copy(), width
+    return np.ascontiguousarray(labels.astype(np.min_scalar_type(width - 1), copy=False).T), width
 
 
 def _column_blocks(n_queries: int, n_rows: int, cells: int):
@@ -367,7 +370,7 @@ _PAIR_BLOCK = 255
 _INT32_TARGETS = 46341
 
 
-def _greedy_refinement(table: np.ndarray, width: int) -> list[int]:
+def _greedy_refinement(table: np.ndarray, width: int, held: np.ndarray | None = None) -> list[int]:
     """Greedy query selection by partition refinement.
 
     ``table`` and ``width`` are a response table in ``_label_table`` form
@@ -381,12 +384,13 @@ def _greedy_refinement(table: np.ndarray, width: int) -> list[int]:
     The early rounds score every query over the cells of the active
     targets, from one table of cell counts held across them in (cells,
     queries) layout.  Round 1 counts the single class by label planes
-    (``_label_counts``).  Each later round first updates the table for the
-    last pick, counting only the targets outside each class's largest
-    child, one child at a time by the same planes (``_split_counts``).  A
-    query's unresolved pairs are (sum of its squared cell sizes -
-    |active|) / 2, and its worst cell is read only when it ties on the
-    fewest.  Once the unresolved pairs number at most
+    (``_label_counts``), unless the caller passes those counts as ``held``,
+    which is read and never written.  Each later round first updates the
+    table for the last pick, counting only the targets outside each
+    class's largest child, one child at a time by the same planes
+    (``_split_counts``).  A query's unresolved pairs are (sum of its
+    squared cell sizes - |active|) / 2, and its worst cell is read only
+    when it ties on the fewest.  Once the unresolved pairs number at most
     ``_PAIR_PHASE_FACTOR`` times the active targets, the rest of the call
     scores queries over the list of those pairs instead
     (``_pair_refinement``), which picks the same queries.
@@ -394,7 +398,7 @@ def _greedy_refinement(table: np.ndarray, width: int) -> list[int]:
     n_targets, n_queries = table.shape
     active = np.arange(n_targets)
     rank = np.zeros(n_targets, dtype=np.int64)  # dense class rank, aligned with active
-    held = _label_counts(table, active, width)
+    held = _label_counts(table, active, width) if held is None else held
     if n_targets >= _INT32_TARGETS:
         held = held.astype(np.int64)
     split = None  # (targets, keys) of the last pick, until a cell round needs its counts
@@ -528,7 +532,7 @@ def md_greedy(g: Graph, dm: DistanceMatrix | None = None) -> QuerySet:
     engine = dm._engine  # DisconnectedGraphError if disconnected
     if g.n == 1:
         return QuerySet(())
-    chosen = _greedy_refinement(*engine.compact_table())
+    chosen = _greedy_refinement(*engine.compact_table(), engine.full_counts())
     result = QuerySet(tuple(chosen))
     if not is_resolving(dm, result):  # pragma: no cover - termination guarantees this
         raise RuntimeError("greedy produced a non-resolving set")

@@ -138,6 +138,12 @@ class TestPartitionAndScores:
         # every query scores 2; the pool's order does not break the tie
         assert max_gain_query(dm, initial_state(4), pool=[3, 1]) == 1
 
+    def test_max_gain_history_out_of_range_rejected(self):
+        dm = distance_matrix(path_graph(4))
+        state = GameState(queries=[7], observations=[1], candidates=np.arange(4))
+        with pytest.raises(IndexError, match="^query 7 out of range$"):
+            max_gain_query(dm, state)
+
     @pytest.mark.parametrize("t", [[-1, 1], [1, 4]], ids=["negative", "past-the-end"])
     def test_candidates_out_of_range_rejected(self, t):
         dm = distance_matrix(cycle_graph(4))
