@@ -209,6 +209,24 @@ def predicted_level_fractions(params: ErParameters) -> dict[int, float]:
     return fractions
 
 
+# Generator.geometric draws by inversion below this p and by search above.
+_INVERSION_BELOW = 1 / 3
+
+
+def _inverted_gaps(rng: np.random.Generator, p: float, size: int, total: int) -> np.ndarray:
+    """``size`` gaps as ``rng.geometric(p, size)`` draws them for p below
+    ``_INVERSION_BELOW``: ``ceil(E / -log1p(-p))`` from one standard
+    exponential E each, the same draws in the same order, as int64.  A gap
+    past ``total`` reads ``total + 1``, where numpy's reads INT64_MAX or
+    would overflow the cast."""
+    gaps = rng.standard_exponential(size=size)
+    with np.errstate(over="ignore"):  # a vanishing p: E / -log1p(-p) is inf
+        gaps /= -math.log1p(-p)  # libm's log1p, as numpy's own draw uses
+    np.ceil(gaps, out=gaps)
+    np.minimum(gaps, total + 1, out=gaps)
+    return gaps.astype(np.int64)
+
+
 def sample_gnp(n: int, p: float, seed) -> Graph:
     """Sample G(n, p): each unordered pair is an edge independently w.p. p.
 
@@ -216,6 +234,15 @@ def sample_gnp(n: int, p: float, seed) -> Graph:
     Identical seed means identical graph.  Pairs are selected by geometric
     gap-skipping over the linearized upper triangle, so the cost is
     O(expected edges) rather than O(n**2).
+
+    The gaps are ``Generator.geometric(p)`` draws, a batch at a time.  For
+    p < 1/3 numpy draws them by inversion, ``ceil(E / -log1p(-p))`` with E
+    standard exponential, and the sampler makes that same draw over the
+    whole batch at once (``_inverted_gaps``); for p >= 1/3 numpy searches,
+    and the sampler calls ``geometric``.  Either way the stream and the graph are
+    numpy's.  A gap past the pair count ends the triangle, so it is
+    clamped there before the int64 cast: a vanishing p gives an edgeless
+    graph, not an overflowing sum.
     """
     if n < 1:
         raise ValueError(f"node count must be positive, got {n}")
@@ -232,7 +259,11 @@ def sample_gnp(n: int, p: float, seed) -> Graph:
         pos = -1
         while True:
             batch = int((total - pos) * p * 1.1) + 16
-            idx = np.cumsum(rng.geometric(p, size=batch).astype(np.int64, copy=False))
+            if p < _INVERSION_BELOW:
+                gaps = _inverted_gaps(rng, p, batch, total)
+            else:
+                gaps = rng.geometric(p, size=batch).astype(np.int64, copy=False)
+            idx = np.cumsum(gaps, out=gaps)
             idx += pos
             cut = int(np.searchsorted(idx, total, side="left"))
             if cut < idx.size:

@@ -181,6 +181,7 @@ class _LabelGameEngine:
         self.nq, self.nt = labels.shape
         self._compact: tuple[np.ndarray, int] | None = None
         self._full: np.ndarray | None = None
+        self.diagonal = False  # the diagonal rule, once full_counts shows it holds
         self._worst_memo: dict[int, int] = {}
         self._lo: dict[int, int] = {}  # proven lower bounds of the game value
         self._hi: dict[int, int] = {}  # proven upper bounds of the game value
@@ -210,18 +211,29 @@ class _LabelGameEngine:
     def full_counts(self) -> np.ndarray:
         """``_label_counts`` of every target, counted once per engine for
         greedy round 1 and MAX-GAIN's first step.  Read-only: a reader
-        that updates counts builds its own array."""
+        that updates counts builds its own array.
+
+        They also check the diagonal rule: when label 0 shows exactly once
+        under every query of a square table, and its diagonal is all 0,
+        as in every graph distance table, ``diagonal`` is set and the
+        engine's later counts (``largest_cells``, MAX-GAIN's recounts, the
+        greedy's splits) take label 0 from the rows they count, with no
+        plane.  A table that fails, such as a ``BinaryMatrix`` or a
+        hand-built table with an off-diagonal 0, keeps the planes."""
         if self._full is None:
             table, width = self.compact_table()
             self._full = _label_counts(table, np.arange(self.nt), width)
             self._full.flags.writeable = False
+            self.diagonal = bool(
+                self.nq == self.nt and (self._full[0] == 1).all() and (np.diagonal(table) == 0).all()
+            )
         return self._full
 
     def largest_cells(self, t: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Size of the largest cell of ``t`` under each query lo..hi-1,
         from the one-class counts of ``_label_counts``."""
         table, width = self.compact_table()
-        return _label_counts(table, t, width, lo, hi).max(axis=0)
+        return _label_counts(table, t, width, lo, hi, self.diagonal).max(axis=0)
 
     def best_reducer(self, t: np.ndarray, pool: np.ndarray) -> tuple[int, int]:
         """argmin of the largest cell of ``t`` over the queries where the
@@ -513,8 +525,9 @@ def _play_on_labels(
 
     MAX-GAIN keeps the (labels, queries) counts of the candidate set across
     its steps (``_label_counts``) and reads each step's largest cells from
-    them, starting from the engine's ``full_counts``.  After an answer it
-    counts whichever side is smaller: the kept cell, which replaces the
+    them, starting from the engine's ``full_counts``, under its diagonal
+    rule when that holds.  After an answer it counts whichever side is
+    smaller: the kept cell, which replaces the
     counts, or the removed rest, which is subtracted from them into a new
     array, so the engine's shared counts stay as they are.
     """
@@ -545,9 +558,9 @@ def _play_on_labels(
         kept = engine.labels[w, t] == l
         if counts is not None:
             if 2 * np.count_nonzero(kept) <= t.size:
-                counts = _label_counts(table, t[kept], width)
+                counts = _label_counts(table, t[kept], width, 0, nq, engine.diagonal)
             else:
-                counts = counts - _label_counts(table, t[~kept], width)
+                counts = counts - _label_counts(table, t[~kept], width, 0, nq, engine.diagonal)
         t = t[kept]
         if t.size == 0:  # pragma: no cover - answers are always consistent
             raise RuntimeError("inconsistent answer emptied the candidate set")

@@ -10,6 +10,7 @@ the ``UNREACHABLE`` sentinel.
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections import deque
 from dataclasses import dataclass
@@ -263,9 +264,13 @@ def _distance_table(g: Graph, sources) -> np.ndarray:
     is packed into the first frontier.  At each later level, an open node
     (one that some lane has not reached yet) ORs only the bits its
     neighbours gained at the previous level, for a block of open nodes at
-    a time, with ``np.bitwise_or.reduceat``.  A node that every lane has
-    reached leaves the open set, even partway through its arc list, and
-    the search stops once no node is open or a level adds nothing.
+    a time, with ``np.bitwise_or.reduceat``.  It reads its arc list in
+    runs: the first sized from the density of the lanes the previous level
+    set (``_first_run``: a few dozen arcs where that level was dense, the
+    whole list where it was sparse), each later run twice as long.  A node
+    that every lane has reached leaves the open set, even partway through
+    its arc list.  Each level counts the lanes it sets as it writes them,
+    and the search stops once no node is open or a level sets no lane.
 
     The output is the narrowest unsigned table that holds every level,
     with the dtype's largest value for a pair with no path.  It starts as
@@ -275,8 +280,9 @@ def _distance_table(g: Graph, sources) -> np.ndarray:
     1000 nodes ends in uint16.
 
     Cost per level is O(words * sum of the open nodes' degrees) for the
-    reductions, and far less on dense graphs, where a few dozen neighbours
-    cover every lane, plus O(s * open nodes) to write the new distances:
+    reductions, and far less on dense graphs, where a first run of a few
+    dozen neighbours covers every lane, plus O(s * open nodes) to write
+    (and count) the new distances:
     a block that gained many lanes subtracts its whole gained mask from
     its rows, one that gained few sets them through it (``_few_gained``).
     Memory is the (n, s) output, three (n, words) bitsets (reach, the
@@ -307,12 +313,14 @@ def _distance_table(g: Graph, sources) -> np.ndarray:
     # cost counts, per node, the neighbour indices it reads (one each, not
     # a bitset) and its output row, 8 words per word of lanes in uint8.
     frontier = np.zeros((n, words), dtype=np.uint64)
+    lanes_set = 0  # lanes the last level set, over every node
     for lo, hi in _blocks(degree + 8 * words, _BLOCK_WORDS):
         plane = np.zeros((hi - lo, s + 1), dtype=np.uint8)
         slots = np.repeat(np.arange(0, (hi - lo) * (s + 1), s + 1), degree[lo:hi])
         slots += lane_of[indices[indptr[lo]:indptr[hi]]]
         plane.reshape(-1)[slots] = 1
         plane = plane[:, :s]
+        lanes_set += np.count_nonzero(plane.view(bool))
         # A lane set here is a source's neighbour, so still unreached.
         out[lo:hi] -= plane * np.uint8(top - 1)
         frontier.view(np.uint8)[lo:hi, :(s + 7) // 8] = np.packbits(plane, axis=1, bitorder="little")
@@ -324,18 +332,20 @@ def _distance_table(g: Graph, sources) -> np.ndarray:
     open_nodes = np.nonzero((degree > 0) & (reach != full).any(axis=1))[0]
 
     # Levels 2 and up.  An open node ORs its neighbours' frontier bits in
-    # passes over growing runs of its arc list (_FIRST_RUN arcs, then twice
-    # as many, ...) and leaves the level once every lane has reached it.
+    # passes over growing runs of its arc list (a first run sized from the
+    # last level's lanes by _first_run, then twice as many arcs, ...) and
+    # leaves the level once every lane has reached it.
     nxt = np.zeros_like(frontier)
     level = 1
-    while open_nodes.size and frontier.any():
+    while open_nodes.size and lanes_set:
         level += 1
         if level == top:  # the level would read as no path: widen once
             out = _widened(out, np.dtype(f"u{2 * out.itemsize}"))
             top = np.iinfo(out.dtype).max
         row_words = 8 * out.itemsize  # one output row per word of lanes
         nodes, cursor = open_nodes, indptr[open_nodes]
-        run_cap = _FIRST_RUN
+        run_cap = _first_run(lanes_set, n, s)
+        lanes_set = 0
         left_open = []
         while nodes.size:
             run = np.minimum(indptr[nodes + 1] - cursor, run_cap)
@@ -352,8 +362,11 @@ def _distance_table(g: Graph, sources) -> np.ndarray:
                 rows = out[b]
                 mask = np.unpackbits(gained.view(np.uint8), axis=1, count=s, bitorder="little")
                 if _few_gained(gained):
-                    rows[mask.view(bool)] = level
+                    hits = np.flatnonzero(mask.view(bool))
+                    rows.reshape(-1)[hits] = level
+                    lanes_set += hits.size
                 else:
+                    lanes_set += np.count_nonzero(mask.view(bool))
                     # A gained lane had not reached the node, so its entry
                     # is still the no-path value, and subtracting lands it
                     # on level.
@@ -375,10 +388,23 @@ def _distance_table(g: Graph, sources) -> np.ndarray:
 # neighbour bitsets a block of nodes gathers, or its output rows.  2**16
 # words (512 KiB) keeps a block in cache; 2**20 ran 1.5x slower at n=2000.
 _BLOCK_WORDS = 2**16
-# Arcs an open node reads in its first pass of a level.  At n=2000 this
-# many neighbours cover every lane at level 2 for p=0.3, and the whole arc
-# list at p=0.02 (mean degree 40), so both finish a level in one pass.
-_FIRST_RUN = 64
+
+
+def _first_run(lanes_set: int, n: int, s: int) -> int:
+    """Arcs an open node of ``_distance_table`` reads in its first pass of
+    a level, from the lanes the last level set: at their density
+    phi = lanes_set / (n * s), ``ceil(ln(16 s) / -ln(1 - phi))`` arcs, or 1
+    when phi >= 1.  Neighbours whose frontier rows were random at that
+    density would leave a node's s lanes with 1/16 of a lane unreached
+    in expectation, so most open nodes end the level in one pass.  A
+    dense level takes short runs (at G(2000, 0.3), 30 arcs at level 2)
+    and a sparse one its whole arc lists, where a fixed run fit only some
+    densities.
+    """
+    density = lanes_set / (n * s)
+    if density >= 1:
+        return 1
+    return math.ceil(math.log(16 * s) / -math.log1p(-density))
 
 
 def _few_gained(gained: np.ndarray) -> bool:

@@ -13,6 +13,7 @@ still-confusable node pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -294,29 +295,41 @@ _PLANE_WIDTH = 8
 
 
 def _label_counts(
-    table: np.ndarray, rows: np.ndarray, width: int, c0: int = 0, c1: int | None = None
+    table: np.ndarray, rows: np.ndarray, width: int, c0: int = 0, c1: int | None = None, diagonal: bool = False
 ) -> np.ndarray:
     """How many of the targets ``rows`` give each label to each query
     c0..c1-1 (default: to the end), as an int32 (labels, queries) array.
 
     The counts of ``rows`` taken as one class, read a budget-sized block
     of queries at a time.  A target listed twice is counted twice.
+
+    ``diagonal`` is the diagonal rule: the caller has checked that label 0
+    lies only on the diagonal of the square table, as in every graph
+    distance table (``_LabelGameEngine.full_counts``), so target t gives
+    label 0 to query t alone.  Label 0's counts are then how often each
+    query is listed in ``rows``, one ``np.bincount``, and the planes
+    compare only labels 1..width-2: at width 3, one plane instead of two.
     """
     c1 = table.shape[1] if c1 is None else c1
     out = np.empty((width, c1 - c0), dtype=np.int32)
+    planes = range(width - 1)
+    if diagonal and width <= _PLANE_WIDTH:
+        out[0] = np.bincount(rows, minlength=c1)[c0:c1]
+        planes = range(1, width - 1)
     for b0, b1 in _column_blocks(c1 - c0, rows.size, width):
-        block = table[rows, c0 + b0 : c0 + b1]
         if width > _PLANE_WIDTH:
-            out[:, b0:b1] = _cell_counts(block, width)
+            out[:, b0:b1] = _cell_counts(table[rows, c0 + b0 : c0 + b1], width)
             continue
-        for label in range(width - 1):
+        if planes:
+            block = table[rows, c0 + b0 : c0 + b1]
+        for label in planes:
             out[label, b0:b1] = np.add.reduce((block == label).view(np.uint8), axis=0, dtype=np.int32)
         out[-1, b0:b1] = rows.size - out[:-1, b0:b1].sum(axis=0)  # every row has one label
     return out
 
 
 def _split_counts(
-    table: np.ndarray, width: int, held: np.ndarray, rows: np.ndarray, keys: np.ndarray
+    table: np.ndarray, width: int, held: np.ndarray, rows: np.ndarray, keys: np.ndarray, diagonal: bool = False
 ) -> np.ndarray:
     """The held counts of the classes that a pick leaves, from those before it.
 
@@ -329,8 +342,9 @@ def _split_counts(
     drop out.
 
     Only the targets outside each class's largest child are counted, one
-    slot at a time by label planes (``_label_counts``).  A slot is one
-    other child that stays a class, or the dead singletons of a class.  The
+    slot at a time by label planes (``_label_counts``, under the diagonal
+    rule when ``diagonal``).  A slot is one other child that stays a
+    class, or the dead singletons of a class.  The
     largest child's counts are its parent's minus every slot of its class,
     so the singletons' slot is charged to it and not written.  A class
     whose largest child is a singleton drops out whole, uncounted.
@@ -350,8 +364,9 @@ def _split_counts(
     kept_big = big[alive[big]]
     new[new_class[kept_big]] = held.reshape(-1, width, n_queries)[kept_big // width]
     own_rows, big_rows = new_class[slots].tolist(), new_class[big[slots // width]].tolist()
+    label_counts = partial(_label_counts, diagonal=True) if diagonal else _label_counts
     for members, own_row, big_row in zip(np.split(rows[counted][order], starts[1:]), own_rows, big_rows):
-        counts = _label_counts(table, members, width)
+        counts = label_counts(table, members, width)
         if own_row != big_row:  # not the dead slot
             new[own_row] = counts
         new[big_row] -= counts
@@ -370,7 +385,9 @@ _PAIR_BLOCK = 255
 _INT32_TARGETS = 46341
 
 
-def _greedy_refinement(table: np.ndarray, width: int, held: np.ndarray | None = None) -> list[int]:
+def _greedy_refinement(
+    table: np.ndarray, width: int, held: np.ndarray | None = None, diagonal: bool = False
+) -> list[int]:
     """Greedy query selection by partition refinement.
 
     ``table`` and ``width`` are a response table in ``_label_table`` form
@@ -388,7 +405,8 @@ def _greedy_refinement(table: np.ndarray, width: int, held: np.ndarray | None = 
     which is read and never written.  Each later round first updates the
     table for the last pick, counting only the targets outside each
     class's largest child, one child at a time by the same planes
-    (``_split_counts``).  A query's unresolved pairs are (sum of its
+    (``_split_counts``), under the diagonal rule when ``diagonal``.  A
+    query's unresolved pairs are (sum of its
     squared cell sizes - |active|) / 2, and its worst cell is read only
     when it ties on the fewest.  Once the unresolved pairs number at most
     ``_PAIR_PHASE_FACTOR`` times the active targets, the rest of the call
@@ -402,6 +420,7 @@ def _greedy_refinement(table: np.ndarray, width: int, held: np.ndarray | None = 
     if n_targets >= _INT32_TARGETS:
         held = held.astype(np.int64)
     split = None  # (targets, keys) of the last pick, until a cell round needs its counts
+    split_counts = partial(_split_counts, diagonal=True) if diagonal else _split_counts
     chosen: list[int] = []
     while active.size:
         if not n_queries:
@@ -410,7 +429,7 @@ def _greedy_refinement(table: np.ndarray, width: int, held: np.ndarray | None = 
         if pairs_left <= _PAIR_PHASE_FACTOR * active.size:
             return chosen + _pair_refinement(table, *_class_pairs(active, rank))
         if split is not None:
-            held = _split_counts(table, width, held, *split)
+            held = split_counts(table, width, held, *split)
         unresolved = (np.einsum("ij,ij->j", held, held) - active.size) // 2
         low = int(unresolved.min())
         if low >= pairs_left:
@@ -532,7 +551,8 @@ def md_greedy(g: Graph, dm: DistanceMatrix | None = None) -> QuerySet:
     engine = dm._engine  # DisconnectedGraphError if disconnected
     if g.n == 1:
         return QuerySet(())
-    chosen = _greedy_refinement(*engine.compact_table(), engine.full_counts())
+    full = engine.full_counts()  # first, as it checks the diagonal rule
+    chosen = _greedy_refinement(*engine.compact_table(), full, engine.diagonal)
     result = QuerySet(tuple(chosen))
     if not is_resolving(dm, result):  # pragma: no cover - termination guarantees this
         raise RuntimeError("greedy produced a non-resolving set")

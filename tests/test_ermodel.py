@@ -254,7 +254,22 @@ class TestSampling:
         """A batch of gaps that ends inside the triangle is followed by
         another.  With every gap 1, a batch sized for p = 0.3 falls short
         of the 66 pairs of G(12, 0.3), so the sampler draws more, and the
-        graph comes out complete."""
+        graph comes out complete.  Below p = 1/3 a gap is
+        ceil(E / -log1p(-p)) of a standard exponential E, so an E of 0.1
+        gives a gap of 1."""
+        batches = []
+
+        class UnitGaps(np.random.Generator):
+            def standard_exponential(self, size=None):
+                batches.append(size)
+                return np.full(size, 0.1)
+
+        g = sample_gnp(12, 0.3, UnitGaps(np.random.PCG64(0)))
+        assert len(batches) > 1
+        assert g.edges() == list(combinations(range(12), 2))
+
+    def test_second_batch_continues_the_geometric_gaps(self):
+        """The same at p = 0.5, where the gaps are ``geometric`` draws."""
         batches = []
 
         class UnitGaps(np.random.Generator):
@@ -262,7 +277,7 @@ class TestSampling:
                 batches.append(size)
                 return np.ones(size, dtype=np.int64)
 
-        g = sample_gnp(12, 0.3, UnitGaps(np.random.PCG64(0)))
+        g = sample_gnp(12, 0.5, UnitGaps(np.random.PCG64(0)))
         assert len(batches) > 1
         assert g.edges() == list(combinations(range(12), 2))
 

@@ -52,7 +52,7 @@ def block_budget(request, monkeypatch):
     so that a node's arc list spans several passes per level."""
     if request.param == "budget-1":
         monkeypatch.setattr(graphs, "_BLOCK_WORDS", 1)
-        monkeypatch.setattr(graphs, "_FIRST_RUN", 1)
+        monkeypatch.setattr(graphs, "_first_run", lambda lanes_set, n, s: 1)
     return request.param
 
 
