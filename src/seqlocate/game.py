@@ -181,7 +181,8 @@ class _LabelGameEngine:
         self.nq, self.nt = labels.shape
         self._compact: tuple[np.ndarray, int] | None = None
         self._full: np.ndarray | None = None
-        self.diagonal = False  # the diagonal rule, once full_counts shows it holds
+        self._degrees: np.ndarray | None = None  # label 1's full counts, from a graph (see symmetric)
+        self.diagonal = False  # the diagonal rule: by construction (symmetric), or once full_counts shows it
         self._worst_memo: dict[int, int] = {}
         self._lo: dict[int, int] = {}  # proven lower bounds of the game value
         self._hi: dict[int, int] = {}  # proven upper bounds of the game value
@@ -189,14 +190,22 @@ class _LabelGameEngine:
         self.expanded = 0  # masks whose queries the decision search scored
 
     @classmethod
-    def symmetric(cls, labels: np.ndarray) -> "_LabelGameEngine":
+    def symmetric(cls, labels: np.ndarray, degrees: np.ndarray | None = None) -> "_LabelGameEngine":
         """The engine of a symmetric table, ``labels[w, t] == labels[t, w]``
         (a graph's distances).  The table is its own transpose, so
         ``compact_table`` hands ``_label_table`` the transposed view, which
         comes back with no transpose: in place when the table is already
-        the narrowest dtype, as ``distance_matrix`` writes it."""
+        the narrowest dtype, as ``distance_matrix`` writes it.
+
+        ``degrees`` are given only by ``DistanceMatrix._engine`` for a table
+        that the all-pairs BFS wrote, so that the table is a connected
+        graph's distances: the diagonal rule holds by construction, and
+        ``full_counts`` reads the degrees as label 1's counts."""
         engine = cls(labels)
         engine._compact_source = engine.labels.T
+        if degrees is not None:
+            engine._degrees = degrees
+            engine.diagonal = True
         return engine
 
     # ---- array path -------------------------------------------------
@@ -213,20 +222,28 @@ class _LabelGameEngine:
         greedy round 1 and MAX-GAIN's first step.  Read-only: a reader
         that updates counts builds its own array.
 
-        They also check the diagonal rule: when label 0 shows exactly once
-        under every query of a square table, and its diagonal is all 0,
-        as in every graph distance table, ``diagonal`` is set and the
-        engine's later counts (``largest_cells``, MAX-GAIN's recounts, the
-        greedy's splits) take label 0 from the rows they count, with no
-        plane.  A table that fails, such as a ``BinaryMatrix`` or a
-        hand-built table with an off-diagonal 0, keeps the planes."""
+        The engine of a ``distance_matrix`` (see ``symmetric``) reads
+        them off its graph: label 0 from the diagonal, label 1 from the
+        degrees, and compares planes only for labels 2..width-2, so at
+        width 3, every sweep graph's, no table entry is read.  Any other
+        engine counts them by planes, and they check the diagonal rule:
+        when label 0 shows exactly once under every query of a square
+        table, and its diagonal is all 0, as in every graph distance
+        table, ``diagonal`` is set and the engine's later counts
+        (``largest_cells``, MAX-GAIN's recounts, the greedy's splits) take
+        label 0 from the rows they count, with no plane.  A table that
+        fails, such as a ``BinaryMatrix`` or a hand-built table with an
+        off-diagonal 0, keeps the planes."""
         if self._full is None:
             table, width = self.compact_table()
-            self._full = _label_counts(table, np.arange(self.nt), width)
+            if self._degrees is not None:
+                self._full = _label_counts(table, np.arange(self.nt), width, diagonal=True, degrees=self._degrees)
+            else:
+                self._full = _label_counts(table, np.arange(self.nt), width)
+                self.diagonal = bool(
+                    self.nq == self.nt and (self._full[0] == 1).all() and (np.diagonal(table) == 0).all()
+                )
             self._full.flags.writeable = False
-            self.diagonal = bool(
-                self.nq == self.nt and (self._full[0] == 1).all() and (np.diagonal(table) == 0).all()
-            )
         return self._full
 
     def largest_cells(self, t: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:

@@ -234,7 +234,9 @@ def md_exact(g: Graph, cap: int | None = None) -> tuple[int, QuerySet]:
     queries that separate the pair the fewest queries separate, and the
     witness is then read off position by position.  The tests below the
     metric dimension dominate the cost, which still grows steeply with n:
-    on a 2-vCPU Xeon VM, G(32, 0.3) takes 5-10 ms and G(40, 0.3) 0.1-0.2 s.
+    on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4; medians of 9 calls), the
+    three G(32, 0.3) graphs of perfbench's exact-small pool take 3.9-4.2
+    ms, and three G(40, 0.3) graphs sampled the same way 46-61 ms.
     ``cap`` (None or >= 0) limits the sizes tested; if no resolving set
     exists within it, CapExceededError is raised.
     """
@@ -295,7 +297,13 @@ _PLANE_WIDTH = 8
 
 
 def _label_counts(
-    table: np.ndarray, rows: np.ndarray, width: int, c0: int = 0, c1: int | None = None, diagonal: bool = False
+    table: np.ndarray,
+    rows: np.ndarray,
+    width: int,
+    c0: int = 0,
+    c1: int | None = None,
+    diagonal: bool = False,
+    degrees: np.ndarray | None = None,
 ) -> np.ndarray:
     """How many of the targets ``rows`` give each label to each query
     c0..c1-1 (default: to the end), as an int32 (labels, queries) array.
@@ -309,22 +317,30 @@ def _label_counts(
     label 0 to query t alone.  Label 0's counts are then how often each
     query is listed in ``rows``, one ``np.bincount``, and the planes
     compare only labels 1..width-2: at width 3, one plane instead of two.
+    ``degrees``, given with the rule when ``rows`` is every target once,
+    are label 1's counts (a query's neighbours are the targets at
+    distance 1), and the planes start at label 2: at width 3, none.  The
+    last label is what the others leave of ``rows``.
     """
     c1 = table.shape[1] if c1 is None else c1
     out = np.empty((width, c1 - c0), dtype=np.int32)
+    if width > _PLANE_WIDTH:
+        for b0, b1 in _column_blocks(c1 - c0, rows.size, width):
+            out[:, b0:b1] = _cell_counts(table[rows, c0 + b0 : c0 + b1], width)
+        return out
     planes = range(width - 1)
-    if diagonal and width <= _PLANE_WIDTH:
+    if diagonal:
         out[0] = np.bincount(rows, minlength=c1)[c0:c1]
         planes = range(1, width - 1)
-    for b0, b1 in _column_blocks(c1 - c0, rows.size, width):
-        if width > _PLANE_WIDTH:
-            out[:, b0:b1] = _cell_counts(table[rows, c0 + b0 : c0 + b1], width)
-            continue
-        if planes:
+        if degrees is not None and width > 2:
+            out[1] = degrees[c0:c1]
+            planes = range(2, width - 1)
+    if planes:
+        for b0, b1 in _column_blocks(c1 - c0, rows.size, width):
             block = table[rows, c0 + b0 : c0 + b1]
-        for label in planes:
-            out[label, b0:b1] = np.add.reduce((block == label).view(np.uint8), axis=0, dtype=np.int32)
-        out[-1, b0:b1] = rows.size - out[:-1, b0:b1].sum(axis=0)  # every row has one label
+            for label in planes:
+                out[label, b0:b1] = np.add.reduce((block == label).view(np.uint8), axis=0, dtype=np.int32)
+    out[-1] = rows.size - out[:-1].sum(axis=0)  # every row has one label
     return out
 
 

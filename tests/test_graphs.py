@@ -369,6 +369,11 @@ class TestLevelsAndDiameter:
             pytest.param(path_graph(40), id="path-40"),
             pytest.param(cycle_graph(41), id="cycle-41"),
             pytest.param(complete_graph(9), id="complete-9"),
+            # Level 2's frontier is the 200 leaves, read in chunks of 32, 64
+            # and 128 nodes: the pendant on the last leaf only in the last.
+            pytest.param(Graph(202, [(0, i) for i in range(1, 201)] + [(200, 201)]), id="star-200-pendant-last"),
+            # Every other node is seen within the first chunk of level 2.
+            pytest.param(Graph(301, sample_gnp(300, 0.3, 0).edges()), id="gnp-300-0.3-plus-isolated"),
         ]
         + [
             pytest.param(sample_gnp(n, p, seed), id=f"gnp-{n}-{p}-{seed}")
@@ -378,6 +383,21 @@ class TestLevelsAndDiameter:
     )
     def test_is_connected_matches_bfs(self, g):
         assert is_connected(g) == bool((bfs_distances(g, 0) != UNREACHABLE).all())
+
+    def test_is_connected_stops_once_every_node_is_seen(self, monkeypatch):
+        """On G(1000, 0.3) the check reads node 0's arcs and one chunk of
+        level 2, a few percent of the arcs, not every arc of level 2."""
+        g = sample_gnp(1000, 0.3, 0)
+        runs = graphs._runs
+        read = []
+
+        def spy(first, count):
+            read.append(int(count.sum()))
+            return runs(first, count)
+
+        monkeypatch.setattr(graphs, "_runs", spy)
+        assert is_connected(g)
+        assert len(read) == 2 and sum(read) < g.indices.size // 20
 
     def test_is_connected_sparse_samples_have_both_answers(self):
         # The sparse samples sit near the connectivity threshold ln(n)/n.

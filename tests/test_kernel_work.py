@@ -1,6 +1,7 @@
-"""The three per-trial kernels, pinned to their reference outputs: the BFS
-arc runs sized by frontier density, label 0 read off the diagonal, and the
-G(n, p) gaps drawn in one pass."""
+"""The per-trial kernels, pinned to their reference outputs: the BFS arc
+runs sized by frontier density, label 0 read off the diagonal, the full
+counts a graph-built matrix reads off its graph, and the G(n, p) gaps
+drawn in one pass."""
 
 from __future__ import annotations
 
@@ -85,11 +86,17 @@ def test_all_pairs_match_plain_bfs(g, first_runs):
 
 
 @pytest.mark.parametrize("g", BFS_GRAPHS)
-def test_source_subsets_match_plain_bfs(g):
+def test_source_subsets_match_plain_bfs(g, first_runs):
+    """Every row matches plain BFS, and the first runs are sized from each
+    level's entries, level 1's (the sources' degree sum) included."""
     sources = np.random.default_rng(g.n).permutation(g.n)[:50]
     got = distances_from_sources(g, sources)
+    expected = reference_rows(g, sources)
     assert got.dtype == np.int32
-    assert np.array_equal(got, reference_rows(g, sources))
+    assert np.array_equal(got, expected)
+    for level, (lanes_set, n, s, run) in enumerate(first_runs, start=1):
+        assert (n, s) == (g.n, 50)
+        assert lanes_set == np.count_nonzero(expected == level)
 
 
 def test_first_run_rule():
@@ -141,6 +148,66 @@ def test_diagonal_rule_counts_equal_the_planes(width, count_budget):
             ruled = _label_counts(table, rows, width, lo, hi, True)
             assert ruled.dtype == planes.dtype == np.int32
             assert np.array_equal(ruled, planes)
+
+
+# ---- Full counts read off the graph ---------------------------------------
+
+DEGREE_GRAPHS = [
+    *(pytest.param(sample_gnp(*WIDTH_SAMPLES[w]), id=f"width-{w}") for w in sorted(WIDTH_SAMPLES)),
+    pytest.param(path_graph(300), id="P_300"),  # uint16, past _PLANE_WIDTH: the bincount kernel
+    pytest.param(Graph(1, []), id="n-1"),
+    pytest.param(Graph(2, [(0, 1)]), id="n-2"),
+]
+
+
+@pytest.mark.parametrize("g", DEGREE_GRAPHS)
+def test_degree_counts_equal_the_checked_planes(g, count_budget):
+    """A graph-built engine obeys the diagonal rule from the start, and its
+    full counts equal those a hand-built matrix of the same table counts by
+    planes and checks, and each query's label histogram."""
+    dm = distance_matrix(g)
+    built, hand = dm._engine, DistanceMatrix(g.n, dm.table)._engine
+    assert built.diagonal and not hand.diagonal
+    got, planes = built.full_counts(), hand.full_counts()
+    assert got.dtype == planes.dtype == np.int32
+    assert np.array_equal(got, planes)
+    width = built.compact_table()[1]
+    assert np.array_equal(got.T, [np.bincount(row, minlength=width) for row in dm.d])
+    assert built.diagonal and hand.diagonal
+    assert not got.flags.writeable
+
+
+def test_width_3_degree_counts_read_no_table_entry():
+    """At width 3 the counts come from the diagonal and the degrees alone:
+    a table of other labels in the engine's place gives the same counts."""
+    g = sample_gnp(*WIDTH_SAMPLES[3])
+    dm = distance_matrix(g)
+    expected = DistanceMatrix(g.n, dm.table)._engine.full_counts()
+    engine = dm._engine
+    engine._compact = (np.full_like(dm.table, 2), 3)
+    assert np.array_equal(engine.full_counts(), expected)
+
+
+def test_degrees_are_not_a_constructor_argument():
+    dm = distance_matrix(cycle_graph(5))
+    with pytest.raises(TypeError):
+        DistanceMatrix(5, dm.table, np.full(5, 2))
+    assert DistanceMatrix(5, dm.table)._degrees is None
+    assert dm._degrees.tolist() == [2] * 5
+
+
+@pytest.mark.parametrize("width", [3, 5])
+def test_degree_counts_pick_and_play_as_the_planes(width):
+    """md_greedy's picks and MAX-GAIN's transcripts are the same on the
+    graph-built matrix and on a hand-built one of its table."""
+    g = sample_gnp(*WIDTH_SAMPLES[width])
+    built = distance_matrix(g)
+    hand = DistanceMatrix(g.n, built.table)
+    assert md_greedy(g, dm=built).nodes == md_greedy(g, dm=hand).nodes
+    for p2 in [AdversaryPolicy.greedy_max_cell()] + [AdversaryPolicy.fixed_target(v) for v in (0, g.n // 2, g.n - 1)]:
+        got, expected = (play_game(dm, Player1Policy.max_gain(), p2) for dm in (built, hand))
+        assert got.to_json_lines() == expected.to_json_lines()
+        assert got.final_candidates.tolist() == expected.final_candidates.tolist()
 
 
 def twin_table(separated_by: int | None = None) -> np.ndarray:
