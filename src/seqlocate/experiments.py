@@ -6,7 +6,9 @@ count, and re-running a config reproduces the output byte for byte.  With
 more than one worker, trials (or cells) run in forked worker processes,
 not threads: a trial makes thousands of numpy calls, each of which must
 take the GIL back when it returns, and two threads spent much of their
-time waiting on each other for it.  Results come back in task order.
+time waiting on each other for it.  The pool hands out the largest tasks
+first (by n, or by m * n for a threshold cell), but results come back in
+task order, and a failure reports the first failing task in task order.
 Wall-clock timings are kept on the in-memory records for diagnostics but
 never serialized, precisely to keep reruns byte-identical.
 """
@@ -284,16 +286,21 @@ def summary_path_for(output_path) -> Path:
     return p.with_name(p.stem + ".summary" + p.suffix)
 
 
-def _map_ordered(fn, tasks, threads: int):
+def _map_ordered(fn, tasks, threads: int, size):
     """Apply fn to tasks and return the results in task order.
 
     With more than one worker and task, the tasks run in a pool of
     ``min(threads, len(tasks))`` forked processes, so ``fn``, the tasks and
     the results must pickle; an exception raised in a worker reaches the
-    caller with its type and message.  Fork is named explicitly (Python
-    3.14 makes forkserver the Linux default) so that workers start without
-    re-importing numpy; a fork-context pool forks every worker before it
-    starts its own threads.
+    caller with its type and message.  Tasks are handed out largest
+    ``size(task)`` first, ties in task order, so that no worker is left
+    alone with the largest trial at the end (longest-first list
+    scheduling); results are still collected in task order, so the
+    exception raised is the one from the first failing task in task order.
+    One worker runs the tasks in task order.  Fork is named explicitly
+    (Python 3.14 makes forkserver the Linux default) so that workers start
+    without re-importing numpy; a fork-context pool forks every worker
+    before it starts its own threads.
     """
     if threads <= 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
@@ -304,7 +311,14 @@ def _map_ordered(fn, tasks, threads: int):
     with ProcessPoolExecutor(
         max_workers=min(threads, len(tasks)), mp_context=multiprocessing.get_context("fork")
     ) as pool:
-        return list(pool.map(fn, tasks))
+        futures = [None] * len(tasks)
+        for i in sorted(range(len(tasks)), key=lambda i: -size(tasks[i])):
+            futures[i] = pool.submit(fn, tasks[i])
+        try:
+            return [f.result() for f in futures]
+        finally:
+            for f in futures:  # after a failure, start no task still queued
+                f.cancel()
 
 
 def _sample_connected(n: int, p: float, rng: np.random.Generator) -> Graph:
@@ -370,7 +384,9 @@ def run_md_smd_sweep(cfg: ExperimentConfig) -> tuple[list[TrialRecord], list[Sum
         raise ValueError(f"config kind is {cfg.kind!r}")
     cells = cfg.cells()
     tasks = [(n, p, t) for n, p in cells for t in range(cfg.trials)]
-    records = _map_ordered(functools.partial(_run_trial, cfg), tasks, cfg.threads)
+    records = _map_ordered(
+        functools.partial(_run_trial, cfg), tasks, cfg.threads, size=lambda task: task[0]
+    )
     summaries = []
     for k, (n, p) in enumerate(cells):
         cell = records[k * cfg.trials : (k + 1) * cfg.trials]
@@ -425,7 +441,10 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> list[ThresholdRow]:
         for n, q in cfg.cells()
         for m in (cfg.m_values if cfg.m_values is not None else _default_m_grid(n, q))
     ]
-    return _map_ordered(functools.partial(_run_threshold_cell, cfg), cells, cfg.threads)
+    return _map_ordered(
+        functools.partial(_run_threshold_cell, cfg), cells, cfg.threads,
+        size=lambda cell: cell[0] * cell[2],
+    )
 
 
 def _run_level_cell(cfg: ExperimentConfig, cell) -> list[LevelFractionRow]:
@@ -481,7 +500,9 @@ def run_level_fractions(cfg: ExperimentConfig) -> list[LevelFractionRow]:
     """
     if cfg.kind != KIND_LEVEL_FRACTIONS:
         raise ValueError(f"config kind is {cfg.kind!r}")
-    nested = _map_ordered(functools.partial(_run_level_cell, cfg), cfg.cells(), cfg.threads)
+    nested = _map_ordered(
+        functools.partial(_run_level_cell, cfg), cfg.cells(), cfg.threads, size=lambda cell: cell[0]
+    )
     return [row for rows in nested for row in rows]
 
 

@@ -607,7 +607,7 @@ def distance_partition(dm: DistanceMatrix, t: np.ndarray, w: int) -> dict[int, n
     """Partition of candidate set ``t`` by distance to ``w``; nonempty cells only."""
     engine, t = _checked(dm, t, w)
     row = engine.labels[w, t]
-    return {int(l): t[row == l] for l in np.unique(row)}
+    return {int(l): t[row == l] for l in np.flatnonzero(np.bincount(row))}
 
 
 def reducer_score(dm: DistanceMatrix, t: np.ndarray, w: int) -> int:
@@ -629,11 +629,11 @@ def max_gain_query(dm: DistanceMatrix, state: GameState, pool=None) -> int:
         raise ValueError("max-gain needs at least two candidates")
     engine, t = _checked(dm, state.candidates)
     if pool is None:
-        pool = np.setdiff1d(np.arange(dm.n), _query_rows(dm, state.queries))
+        in_pool = np.ones(dm.n, dtype=bool)
+        in_pool[_query_rows(dm, state.queries)] = False
     else:
-        pool = _query_rows(dm, pool)
-    in_pool = np.zeros(dm.n, dtype=bool)
-    in_pool[pool] = True
+        in_pool = np.zeros(dm.n, dtype=bool)
+        in_pool[_query_rows(dm, pool)] = True
     return engine.best_reducer(t, in_pool)[0]
 
 

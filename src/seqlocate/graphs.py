@@ -304,7 +304,8 @@ def _distance_table(g: Graph, sources) -> np.ndarray:
     src = _node_indices(sources, g.n, "sources", "source out of range")
     if src.ndim != 1 or src.size == 0:
         raise ValueError("sources must be a nonempty 1-d sequence")
-    if np.unique(src).size != src.size:
+    ordered = np.sort(src)  # np.unique would import numpy.ma, in every forked sweep worker
+    if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("duplicate source nodes")
     n = g.n
     s = src.size

@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -376,8 +378,10 @@ class TestMdSmdSweep:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_persistently_disconnected_raises(self, tmp_path, threads):
         # At two workers the error is raised in a pool process and must reach
-        # the caller with its type and message unchanged.
-        cfg = base_config(tmp_path, n_values=[30], p_or_q=[0.001], trials=2, threads=threads)
+        # the caller with its type and message unchanged.  Both cells fail;
+        # the pool starts n=40 first, but n=30 comes first in task order, so
+        # its error is the one raised.
+        cfg = base_config(tmp_path, n_values=[30, 40], p_or_q=[0.001], trials=2, threads=threads)
         with pytest.raises(ExperimentError) as excinfo:
             run_md_smd_sweep(cfg)
         assert excinfo.type is ExperimentError
@@ -518,18 +522,20 @@ class TestRunExperiment:
         )
 
     def test_byte_identical_across_thread_counts(self, tmp_path):
-        cfg1 = base_config(tmp_path, n_values=[20, 25], trials=4, threads=1)
-        run_experiment(cfg1)
-        single = (tmp_path / "out.csv").read_bytes()
-        single_summary = summary_path_for(tmp_path / "out.csv").read_bytes()
-
-        cfg4 = base_config(
-            tmp_path, n_values=[20, 25], trials=4, threads=4,
-            output_path=str(tmp_path / "out4.csv"),
-        )
-        run_experiment(cfg4)
-        assert (tmp_path / "out4.csv").read_bytes() == single
-        assert summary_path_for(tmp_path / "out4.csv").read_bytes() == single_summary
+        # n_values out of size order: largest-first dispatch differs from task
+        # order, and the trials of one n tie; the files must not depend on either.
+        outputs = []
+        for threads in (1, 2, 3, 4):
+            path = tmp_path / f"out{threads}.csv"
+            run_experiment(
+                base_config(
+                    tmp_path, n_values=[25, 40, 20], trials=3, threads=threads,
+                    output_path=str(path),
+                )
+            )
+            outputs.append((path.read_bytes(), summary_path_for(path).read_bytes()))
+        assert outputs[1:] == [outputs[0]] * 3
+        assert outputs[0][0].count(b"\n") == 10  # a header and nine trials
 
     def test_level_fractions_byte_identical_across_thread_counts(self, tmp_path):
         outputs = []
@@ -573,3 +579,28 @@ def test_missing_output_directory_fails_before_any_trial(tmp_path, monkeypatch, 
         run_experiment(cfg)
     assert ran == []
     assert not (tmp_path / "missing").exists()
+
+
+def test_sweep_work_loads_no_module_lazily():
+    """A trial or cell of each sweep kind loads no module that the sweep's
+    imports did not: a lazy import (``np.unique`` without index or count
+    outputs loads numpy.ma, about 10 ms) would be paid again by every
+    freshly forked pool worker.  Runs in a fresh interpreter, whose
+    sys.modules the test process has not filled."""
+    script = (
+        "import json, sys\n"
+        "import numpy.random\n"
+        "from seqlocate import experiments as ex\n"
+        "before = set(sys.modules)\n"
+        "common = dict(trials=2, base_seed=3, output_path='unused.csv')\n"
+        "ex._run_trial(ex.ExperimentConfig(kind='md_smd_sweep', n_values=[14], p_or_q=[0.4],\n"
+        "    caps={'exact_n_limit': 14}, **common), (14, 0.4, 0))\n"
+        "ex._run_level_cell(ex.ExperimentConfig(kind='level_fractions', n_values=[60],\n"
+        "    p_or_q=[0.2], sources_per_graph=10, **common), (60, 0.2))\n"
+        "ex._run_threshold_cell(ex.ExperimentConfig(kind='threshold_sweep', n_values=[20],\n"
+        "    p_or_q=[0.3], m_values=[8], **common), (20, 0.3, 8))\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

@@ -310,8 +310,9 @@ class TestDistances:
 
     def test_sources_validated(self):
         g = path_graph(5)
-        with pytest.raises(ValueError):
-            distances_from_sources(g, [1, 1])
+        for sources in ([1, 1], [3, 0, 4, 3]):  # duplicates side by side and apart
+            with pytest.raises(ValueError, match="^duplicate source nodes$"):
+                distances_from_sources(g, sources)
         with pytest.raises(IndexError):
             distances_from_sources(g, [7])
         with pytest.raises(ValueError):
