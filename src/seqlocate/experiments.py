@@ -16,7 +16,6 @@ never serialized, precisely to keep reruns byte-identical.
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import json
 import math
@@ -286,15 +285,15 @@ def summary_path_for(output_path) -> Path:
     return p.with_name(p.stem + ".summary" + p.suffix)
 
 
-def _map_ordered(fn, tasks, threads: int, size):
-    """Apply fn to tasks and return the results in task order.
+def _map_ordered(fn, cfg, tasks, threads: int, size):
+    """Apply ``fn(cfg, task)`` to tasks and return the results in task order.
 
     With more than one worker and task, the tasks run in a pool of
-    ``min(threads, len(tasks))`` forked processes, so ``fn``, the tasks and
-    the results must pickle; an exception raised in a worker reaches the
-    caller with its type and message.  Tasks are handed out largest
-    ``size(task)`` first, ties in task order, so that no worker is left
-    alone with the largest trial at the end (longest-first list
+    ``min(threads, len(tasks))`` forked processes, so ``fn``, ``cfg``, the
+    tasks and the results must pickle; an exception raised in a worker
+    reaches the caller with its type and message.  Tasks are handed out
+    largest ``size(task)`` first, ties in task order, so that no worker is
+    left alone with the largest trial at the end (longest-first list
     scheduling); results are still collected in task order, so the
     exception raised is the one from the first failing task in task order.
     One worker runs the tasks in task order.  Fork is named explicitly
@@ -303,7 +302,7 @@ def _map_ordered(fn, tasks, threads: int, size):
     before it starts its own threads.
     """
     if threads <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
+        return [fn(cfg, task) for task in tasks]
     # Imported here: at module load they would add about 20 ms to every CLI start.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -313,7 +312,7 @@ def _map_ordered(fn, tasks, threads: int, size):
     ) as pool:
         futures = [None] * len(tasks)
         for i in sorted(range(len(tasks)), key=lambda i: -size(tasks[i])):
-            futures[i] = pool.submit(fn, tasks[i])
+            futures[i] = pool.submit(fn, cfg, tasks[i])
         try:
             return [f.result() for f in futures]
         finally:
@@ -384,9 +383,7 @@ def run_md_smd_sweep(cfg: ExperimentConfig) -> tuple[list[TrialRecord], list[Sum
         raise ValueError(f"config kind is {cfg.kind!r}")
     cells = cfg.cells()
     tasks = [(n, p, t) for n, p in cells for t in range(cfg.trials)]
-    records = _map_ordered(
-        functools.partial(_run_trial, cfg), tasks, cfg.threads, size=lambda task: task[0]
-    )
+    records = _map_ordered(_run_trial, cfg, tasks, cfg.threads, size=lambda task: task[0])
     summaries = []
     for k, (n, p) in enumerate(cells):
         cell = records[k * cfg.trials : (k + 1) * cfg.trials]
@@ -441,10 +438,7 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> list[ThresholdRow]:
         for n, q in cfg.cells()
         for m in (cfg.m_values if cfg.m_values is not None else _default_m_grid(n, q))
     ]
-    return _map_ordered(
-        functools.partial(_run_threshold_cell, cfg), cells, cfg.threads,
-        size=lambda cell: cell[0] * cell[2],
-    )
+    return _map_ordered(_run_threshold_cell, cfg, cells, cfg.threads, size=lambda cell: cell[0] * cell[2])
 
 
 def _run_level_cell(cfg: ExperimentConfig, cell) -> list[LevelFractionRow]:
@@ -500,9 +494,7 @@ def run_level_fractions(cfg: ExperimentConfig) -> list[LevelFractionRow]:
     """
     if cfg.kind != KIND_LEVEL_FRACTIONS:
         raise ValueError(f"config kind is {cfg.kind!r}")
-    nested = _map_ordered(
-        functools.partial(_run_level_cell, cfg), cfg.cells(), cfg.threads, size=lambda cell: cell[0]
-    )
+    nested = _map_ordered(_run_level_cell, cfg, cfg.cells(), cfg.threads, size=lambda cell: cell[0])
     return [row for rows in nested for row in rows]
 
 

@@ -165,92 +165,75 @@ class _LabelGameEngine:
 
     The one owner of a response table: a ``DistanceMatrix`` carries one
     engine, and every solver, played game and stepwise function given that
-    matrix reads the table through it.  The array path (candidate index
-    arrays, label counts per query) scales to thousands of targets and drives
+    matrix reads the table through it.  The engine also owns the table's
+    counting form (``table``, ``width``) and its diagonal rule, both fixed
+    when it is built.  The array path (candidate index arrays, label counts
+    per query through ``counts``) scales to thousands of targets and drives
     played games and the greedy resolving set.  The bitset path encodes
     candidate sets as ints for the exact game value, a bounded decision
     search seeded by the MAX-GAIN worst case, and is limited to 64 targets.
     """
 
-    def __init__(self, labels: np.ndarray) -> None:
+    def __init__(self, labels: np.ndarray, symmetric: bool = False, degrees: np.ndarray | None = None) -> None:
+        """``symmetric`` marks a table with ``labels[w, t] == labels[t, w]``
+        (a graph's distances): it is its own transpose, so ``_label_table``
+        reads it in place when it is already the narrowest dtype, as
+        ``distance_matrix`` writes it.
+
+        ``diagonal`` is the diagonal rule, decided here once: label 0 lies
+        only on the diagonal of a square table, as in every graph distance
+        table, so target t gives label 0 to query t alone, and every count
+        of the engine takes label 0 from the rows it counts, with no plane
+        (``_label_counts``).  ``degrees`` are given only by
+        ``DistanceMatrix._engine`` for a table that the all-pairs BFS of a
+        connected graph wrote, where the rule holds by construction and
+        the degrees are label 1's full counts.  Any other table is checked:
+        the rule holds when it is square with an all-zero diagonal and
+        exactly ``nt`` zeros.  A ``BinaryMatrix`` other than J - I, or a
+        hand-built table with an off-diagonal 0, keeps the planes."""
         labels = np.asarray(labels)
         if labels.ndim != 2 or labels.shape[0] == 0 or labels.shape[1] == 0:
             raise ValueError("label table must be 2-d and nonempty")
         self.labels = labels
-        self._compact_source = labels  # the (queries, targets) table compact_table casts
         self.nq, self.nt = labels.shape
-        self._compact: tuple[np.ndarray, int] | None = None
+        self.table, self.width = _label_table(labels.T if symmetric else labels)  # (targets, queries)
+        self._degrees = degrees
+        self.diagonal = degrees is not None or bool(
+            self.nq == self.nt
+            and not np.diagonal(self.table).any()
+            and self.table.size - np.count_nonzero(self.table) == self.nt
+        )
         self._full: np.ndarray | None = None
-        self._degrees: np.ndarray | None = None  # label 1's full counts, from a graph (see symmetric)
-        self.diagonal = False  # the diagonal rule: by construction (symmetric), or once full_counts shows it
         self._worst_memo: dict[int, int] = {}
         self._lo: dict[int, int] = {}  # proven lower bounds of the game value
         self._hi: dict[int, int] = {}  # proven upper bounds of the game value
         self._search: tuple[list[tuple[int, ...]], list[int], list[int]] | None = None
         self.expanded = 0  # masks whose queries the decision search scored
 
-    @classmethod
-    def symmetric(cls, labels: np.ndarray, degrees: np.ndarray | None = None) -> "_LabelGameEngine":
-        """The engine of a symmetric table, ``labels[w, t] == labels[t, w]``
-        (a graph's distances).  The table is its own transpose, so
-        ``compact_table`` hands ``_label_table`` the transposed view, which
-        comes back with no transpose: in place when the table is already
-        the narrowest dtype, as ``distance_matrix`` writes it.
-
-        ``degrees`` are given only by ``DistanceMatrix._engine`` for a table
-        that the all-pairs BFS wrote, so that the table is a connected
-        graph's distances: the diagonal rule holds by construction, and
-        ``full_counts`` reads the degrees as label 1's counts."""
-        engine = cls(labels)
-        engine._compact_source = engine.labels.T
-        if degrees is not None:
-            engine._degrees = degrees
-            engine.diagonal = True
-        return engine
-
     # ---- array path -------------------------------------------------
 
-    def compact_table(self) -> tuple[np.ndarray, int]:
-        """The table in ``_label_table`` form and its width, built once per
-        engine (see ``symmetric``)."""
-        if self._compact is None:
-            self._compact = _label_table(self._compact_source)
-        return self._compact
+    def counts(self, rows: np.ndarray, c0: int = 0, c1: int | None = None) -> np.ndarray:
+        """``_label_counts`` of the targets ``rows`` under queries c0..c1-1,
+        under the engine's diagonal rule: every count but ``full_counts``."""
+        return _label_counts(self.table, rows, self.width, c0, c1, self.diagonal)
 
     def full_counts(self) -> np.ndarray:
         """``_label_counts`` of every target, counted once per engine for
         greedy round 1 and MAX-GAIN's first step.  Read-only: a reader
-        that updates counts builds its own array.
-
-        The engine of a ``distance_matrix`` (see ``symmetric``) reads
-        them off its graph: label 0 from the diagonal, label 1 from the
-        degrees, and compares planes only for labels 2..width-2, so at
-        width 3, every sweep graph's, no table entry is read.  Any other
-        engine counts them by planes, and they check the diagonal rule:
-        when label 0 shows exactly once under every query of a square
-        table, and its diagonal is all 0, as in every graph distance
-        table, ``diagonal`` is set and the engine's later counts
-        (``largest_cells``, MAX-GAIN's recounts, the greedy's splits) take
-        label 0 from the rows they count, with no plane.  A table that
-        fails, such as a ``BinaryMatrix`` or a hand-built table with an
-        off-diagonal 0, keeps the planes."""
+        that updates counts builds its own array.  With the graph's
+        degrees, labels 0 and 1 are read off the graph and planes compare
+        only labels 2..width-2, so at width 3, every sweep graph's, no
+        table entry is read."""
         if self._full is None:
-            table, width = self.compact_table()
-            if self._degrees is not None:
-                self._full = _label_counts(table, np.arange(self.nt), width, diagonal=True, degrees=self._degrees)
-            else:
-                self._full = _label_counts(table, np.arange(self.nt), width)
-                self.diagonal = bool(
-                    self.nq == self.nt and (self._full[0] == 1).all() and (np.diagonal(table) == 0).all()
-                )
+            self._full = _label_counts(
+                self.table, np.arange(self.nt), self.width, diagonal=self.diagonal, degrees=self._degrees
+            )
             self._full.flags.writeable = False
         return self._full
 
     def largest_cells(self, t: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Size of the largest cell of ``t`` under each query lo..hi-1,
-        from the one-class counts of ``_label_counts``."""
-        table, width = self.compact_table()
-        return _label_counts(table, t, width, lo, hi, self.diagonal).max(axis=0)
+        """Size of the largest cell of ``t`` under each query lo..hi-1."""
+        return self.counts(t, lo, hi).max(axis=0)
 
     def best_reducer(self, t: np.ndarray, pool: np.ndarray) -> tuple[int, int]:
         """argmin of the largest cell of ``t`` over the queries where the
@@ -541,10 +524,9 @@ def _play_on_labels(
     of the matrix game.
 
     MAX-GAIN keeps the (labels, queries) counts of the candidate set across
-    its steps (``_label_counts``) and reads each step's largest cells from
-    them, starting from the engine's ``full_counts``, under its diagonal
-    rule when that holds.  After an answer it counts whichever side is
-    smaller: the kept cell, which replaces the
+    its steps and reads each step's largest cells from them, starting from
+    the engine's ``full_counts``.  After an answer it counts whichever side
+    is smaller (``engine.counts``): the kept cell, which replaces the
     counts, or the removed rest, which is subtracted from them into a new
     array, so the engine's shared counts stay as they are.
     """
@@ -562,7 +544,6 @@ def _play_on_labels(
     while t.size > 1 and len(transcript.steps) < cap:
         if p1.kind == "max-gain":
             if counts is None:  # the first step: t is every target
-                table, width = engine.compact_table()
                 counts = engine.full_counts()
             w, _ = _min_largest_cell(counts.max(axis=0), unqueried, t.size)
         elif p1.kind == "exact-minimax":
@@ -575,9 +556,9 @@ def _play_on_labels(
         kept = engine.labels[w, t] == l
         if counts is not None:
             if 2 * np.count_nonzero(kept) <= t.size:
-                counts = _label_counts(table, t[kept], width, 0, nq, engine.diagonal)
+                counts = engine.counts(t[kept])
             else:
-                counts = counts - _label_counts(table, t[~kept], width, 0, nq, engine.diagonal)
+                counts = counts - engine.counts(t[~kept])
         t = t[kept]
         if t.size == 0:  # pragma: no cover - answers are always consistent
             raise RuntimeError("inconsistent answer emptied the candidate set")
@@ -613,7 +594,7 @@ def distance_partition(dm: DistanceMatrix, t: np.ndarray, w: int) -> dict[int, n
 def reducer_score(dm: DistanceMatrix, t: np.ndarray, w: int) -> int:
     """Size of the largest cell of the distance partition of ``t`` under ``w``.
 
-    Reads the one row of ``w``; the engine's compact table is not built."""
+    Reads the one row of ``w``, with no count of the engine's table."""
     engine, t = _checked(dm, t, w)
     return int(np.bincount(engine.labels[w, t]).max())
 
@@ -640,12 +621,16 @@ def max_gain_query(dm: DistanceMatrix, state: GameState, pool=None) -> int:
 def adversary_answer(dm: DistanceMatrix, state: GameState, w: int, policy: AdversaryPolicy) -> int:
     """The adversary's distance answer to query ``w`` under ``policy``.
 
-    The exact-minimax answer reuses the game values that earlier calls on
-    the same ``dm`` proved.
+    A fixed target must be among the candidates (ValueError otherwise), so
+    that its answer is one that some candidate gives.  The exact-minimax
+    answer reuses the game values that earlier calls on the same ``dm``
+    proved.
     """
     engine, t = _checked(dm, state.candidates, w)
     if policy.kind == "fixed-target":
         _node_indices(policy.target, dm.n, "target", "target {} out of range", ValueError)
+        if not (t == policy.target).any():
+            raise ValueError(f"target {policy.target} is not among the candidates")
     return engine.answer(t, w, policy)
 
 
@@ -703,7 +688,7 @@ def f_separator_exists(
         raise ValueError("W must be nonempty")
     engine = dm._engine
     bound = nodes.size * gamma + f_value
-    for c0, c1 in _column_blocks(dm.n, nodes.size, engine.compact_table()[1]):
+    for c0, c1 in _column_blocks(dm.n, nodes.size, engine.width):
         fits = np.flatnonzero(engine.largest_cells(nodes, c0, c1) <= bound)
         if fits.size:
             return True, c0 + int(fits[0])

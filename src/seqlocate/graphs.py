@@ -210,17 +210,15 @@ class DistanceMatrix:
 
         Building it is the connectivity check: it raises
         DisconnectedGraphError when some pair has no path.  The engine of a
-        matrix from ``distance_matrix`` gets the graph's degrees, so it
-        obeys the diagonal rule from the start and its ``full_counts`` take
-        labels 0 and 1 from the diagonal and the degrees.  A hand-built
-        matrix's engine checks the rule on its counted planes instead.
+        matrix from ``distance_matrix`` gets the graph's degrees (see
+        ``_LabelGameEngine`` for its diagonal rule).
         """
         from .game import _LabelGameEngine  # game imports this module
 
         # Undirected: row 0 is finite iff every node reaches node 0.
         if (self.table[0] == np.iinfo(self.table.dtype).max).any():
             raise DisconnectedGraphError("the graph is disconnected")
-        return _LabelGameEngine.symmetric(self.table, self._degrees)
+        return _LabelGameEngine(self.table, symmetric=True, degrees=self._degrees)
 
 
 def _widened(table: np.ndarray, dtype=np.int32) -> np.ndarray:
@@ -452,9 +450,7 @@ def _blocks(cost: np.ndarray, budget: int):
 def distance_matrix(g: Graph) -> DistanceMatrix:
     """All-pairs hop distances for ``g``, in the narrow table of
     ``_distance_table`` (row v, lane w is d(v, w)).  The matrix keeps
-    ``g``'s degrees, the counts of label 1 that its engine's
-    ``full_counts`` reads instead of comparing a plane (see
-    ``DistanceMatrix._engine``)."""
+    ``g``'s degrees for its engine (``DistanceMatrix._engine``)."""
     dm = DistanceMatrix(g.n, _distance_table(g, np.arange(g.n)))
     object.__setattr__(dm, "_degrees", g.indptr[1:] - g.indptr[:-1])  # frozen, and no constructor argument
     return dm

@@ -13,7 +13,6 @@ still-confusable node pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -311,16 +310,15 @@ def _label_counts(
     The counts of ``rows`` taken as one class, read a budget-sized block
     of queries at a time.  A target listed twice is counted twice.
 
-    ``diagonal`` is the diagonal rule: the caller has checked that label 0
-    lies only on the diagonal of the square table, as in every graph
-    distance table (``_LabelGameEngine.full_counts``), so target t gives
-    label 0 to query t alone.  Label 0's counts are then how often each
-    query is listed in ``rows``, one ``np.bincount``, and the planes
-    compare only labels 1..width-2: at width 3, one plane instead of two.
-    ``degrees``, given with the rule when ``rows`` is every target once,
-    are label 1's counts (a query's neighbours are the targets at
-    distance 1), and the planes start at label 2: at width 3, none.  The
-    last label is what the others leave of ``rows``.
+    ``diagonal`` and ``degrees`` come from the engine that owns the table
+    (``_LabelGameEngine``, which decides its diagonal rule once).  Under
+    the rule, label 0's counts are how often each query is listed in
+    ``rows``, one ``np.bincount``, and the planes compare only labels
+    1..width-2: at width 3, one plane instead of two.  ``degrees``, given
+    with the rule when ``rows`` is every target once, are label 1's counts
+    (a query's neighbours are the targets at distance 1), and the planes
+    start at label 2: at width 3, none.  The last label is what the others
+    leave of ``rows``.
     """
     c1 = table.shape[1] if c1 is None else c1
     out = np.empty((width, c1 - c0), dtype=np.int32)
@@ -344,9 +342,7 @@ def _label_counts(
     return out
 
 
-def _split_counts(
-    table: np.ndarray, width: int, held: np.ndarray, rows: np.ndarray, keys: np.ndarray, diagonal: bool = False
-) -> np.ndarray:
+def _split_counts(engine, held: np.ndarray, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """The held counts of the classes that a pick leaves, from those before it.
 
     ``held`` holds the counts of every class before the pick in (cells,
@@ -358,13 +354,14 @@ def _split_counts(
     drop out.
 
     Only the targets outside each class's largest child are counted, one
-    slot at a time by label planes (``_label_counts``, under the diagonal
-    rule when ``diagonal``).  A slot is one other child that stays a
-    class, or the dead singletons of a class.  The
-    largest child's counts are its parent's minus every slot of its class,
-    so the singletons' slot is charged to it and not written.  A class
-    whose largest child is a singleton drops out whole, uncounted.
+    slot at a time by ``engine.counts``, under the engine's diagonal rule.
+    A slot is one other child that stays a class, or the dead singletons
+    of a class.  The largest child's counts are its parent's minus every
+    slot of its class, so the singletons' slot is charged to it and not
+    written.  A class whose largest child is a singleton drops out whole,
+    uncounted.
     """
+    width, n_queries = engine.width, engine.nq
     sizes = np.bincount(keys, minlength=held.shape[0])
     alive = sizes > 1
     new_class = np.cumsum(alive) - 1
@@ -375,14 +372,12 @@ def _split_counts(
     order = np.argsort(slot_of, kind="stable")
     starts = np.flatnonzero(np.diff(slot_of[order], prepend=-1))
     slots = slot_of[order[starts]]
-    n_queries = table.shape[1]
     new = np.empty((int(alive.sum()), width, n_queries), dtype=held.dtype)
     kept_big = big[alive[big]]
     new[new_class[kept_big]] = held.reshape(-1, width, n_queries)[kept_big // width]
     own_rows, big_rows = new_class[slots].tolist(), new_class[big[slots // width]].tolist()
-    label_counts = partial(_label_counts, diagonal=True) if diagonal else _label_counts
     for members, own_row, big_row in zip(np.split(rows[counted][order], starts[1:]), own_rows, big_rows):
-        counts = label_counts(table, members, width)
+        counts = engine.counts(members)
         if own_row != big_row:  # not the dead slot
             new[own_row] = counts
         new[big_row] -= counts
@@ -401,51 +396,43 @@ _PAIR_BLOCK = 255
 _INT32_TARGETS = 46341
 
 
-def _greedy_refinement(
-    table: np.ndarray, width: int, held: np.ndarray | None = None, diagonal: bool = False
-) -> list[int]:
-    """Greedy query selection by partition refinement.
+def _greedy_refinement(engine) -> list[int]:
+    """Greedy query selection by partition refinement, over the counting
+    table of ``engine`` (a ``game._LabelGameEngine``; rows are targets).
 
-    ``table`` and ``width`` are a response table in ``_label_table`` form
-    (rows are targets).  Maintains the partition of targets into classes
-    with equal responses to the chosen queries.  Each round picks the query
-    minimizing the number of still-unseparated pairs, breaking ties by
-    smaller worst-class size and then by lower query index.  Targets in
+    Maintains the partition of targets into classes with equal responses
+    to the chosen queries.  Each round picks the query minimizing the
+    number of still-unseparated pairs, breaking ties by smaller
+    worst-class size and then by lower query index.  Targets in
     singleton classes drop out.  A chosen query is constant on every class,
     so it separates nothing and is never chosen again: the round raises first.
 
     The early rounds score every query over the cells of the active
     targets, from one table of cell counts held across them in (cells,
-    queries) layout.  Round 1 counts the single class by label planes
-    (``_label_counts``), unless the caller passes those counts as ``held``,
-    which is read and never written.  Each later round first updates the
-    table for the last pick, counting only the targets outside each
-    class's largest child, one child at a time by the same planes
-    (``_split_counts``), under the diagonal rule when ``diagonal``.  A
-    query's unresolved pairs are (sum of its
-    squared cell sizes - |active|) / 2, and its worst cell is read only
-    when it ties on the fewest.  Once the unresolved pairs number at most
-    ``_PAIR_PHASE_FACTOR`` times the active targets, the rest of the call
-    scores queries over the list of those pairs instead
+    queries) layout.  Round 1 reads the engine's ``full_counts``, which it
+    never writes.  Each later round first updates the table for the last
+    pick, counting only the targets outside each class's largest child,
+    one child at a time (``_split_counts``).  A query's unresolved pairs
+    are (sum of its squared cell sizes - |active|) / 2, and its worst cell
+    is read only when it ties on the fewest.  Once the unresolved pairs
+    number at most ``_PAIR_PHASE_FACTOR`` times the active targets, the
+    rest of the call scores queries over the list of those pairs instead
     (``_pair_refinement``), which picks the same queries.
     """
-    n_targets, n_queries = table.shape
-    active = np.arange(n_targets)
-    rank = np.zeros(n_targets, dtype=np.int64)  # dense class rank, aligned with active
-    held = _label_counts(table, active, width) if held is None else held
-    if n_targets >= _INT32_TARGETS:
+    table, width = engine.table, engine.width
+    active = np.arange(engine.nt)
+    rank = np.zeros(engine.nt, dtype=np.int64)  # dense class rank, aligned with active
+    held = engine.full_counts()
+    if engine.nt >= _INT32_TARGETS:
         held = held.astype(np.int64)
     split = None  # (targets, keys) of the last pick, until a cell round needs its counts
-    split_counts = partial(_split_counts, diagonal=True) if diagonal else _split_counts
     chosen: list[int] = []
     while active.size:
-        if not n_queries:
-            raise ValueError("targets are not separable by the given queries")
         pairs_left = _unresolved_pairs(rank)
         if pairs_left <= _PAIR_PHASE_FACTOR * active.size:
             return chosen + _pair_refinement(table, *_class_pairs(active, rank))
         if split is not None:
-            held = split_counts(table, width, held, *split)
+            held = _split_counts(engine, held, *split)
         unresolved = (np.einsum("ij,ij->j", held, held) - active.size) // 2
         low = int(unresolved.min())
         if low >= pairs_left:
@@ -559,17 +546,15 @@ def md_greedy(g: Graph, dm: DistanceMatrix | None = None) -> QuerySet:
     Both phases pick the same queries.
 
     Pass a precomputed ``dm`` of ``g`` to skip the all-pairs BFS and to
-    share its label table with later games on ``dm``; a ``dm`` of another
-    node count is a ValueError.  The result is verified resolving before
-    it is returned.
+    share its engine, and so its counting table and full counts, with
+    later games on ``dm``; a ``dm`` of another node count is a ValueError.
+    The result is verified resolving before it is returned.
     """
     dm = _distances(g, dm)
     engine = dm._engine  # DisconnectedGraphError if disconnected
     if g.n == 1:
         return QuerySet(())
-    full = engine.full_counts()  # first, as it checks the diagonal rule
-    chosen = _greedy_refinement(*engine.compact_table(), full, engine.diagonal)
-    result = QuerySet(tuple(chosen))
+    result = QuerySet(tuple(_greedy_refinement(engine)))
     if not is_resolving(dm, result):  # pragma: no cover - termination guarantees this
         raise RuntimeError("greedy produced a non-resolving set")
     return result

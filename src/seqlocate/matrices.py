@@ -19,7 +19,7 @@ import numpy as np
 
 from .game import AdversaryPolicy, Player1Policy, Transcript, _LabelGameEngine, _play_on_labels
 from .graphs import _read_header
-from .localization import _equal_pairs, _greedy_refinement, _label_table, _smallest_separating_set
+from .localization import _equal_pairs, _greedy_refinement, _smallest_separating_set
 
 
 class UndefinedQueryComplexityError(RuntimeError):
@@ -138,7 +138,7 @@ def qc_greedy(a: BinaryMatrix) -> tuple[int, ...]:
     _require_distinct(a)
     if a.n == 1:
         return ()
-    return tuple(_greedy_refinement(*_label_table(a.bits)))
+    return tuple(_greedy_refinement(_LabelGameEngine(a.bits)))
 
 
 def sqc_exact(a: BinaryMatrix, cap: int | None = None) -> int:

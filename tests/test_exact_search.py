@@ -47,8 +47,8 @@ from seqlocate.localization import _bitsets, _min_separating_subset, _smallest_s
 class ReferenceEngine(_LabelGameEngine):
     """Exact-value minimax: every reachable candidate set gets its value."""
 
-    def __init__(self, labels: np.ndarray) -> None:
-        super().__init__(labels)
+    def __init__(self, labels: np.ndarray, **kwargs) -> None:
+        super().__init__(labels, **kwargs)
         self._value_memo: dict[int, int] = {}
         self._reference_cells = reference_cells(self.labels)
 
@@ -373,8 +373,8 @@ def test_cap_bounds_the_search_work(monkeypatch):
     engines = []
 
     class Spy(_LabelGameEngine):
-        def __init__(self, labels):
-            super().__init__(labels)
+        def __init__(self, labels, **kwargs):
+            super().__init__(labels, **kwargs)
             engines.append(self)
 
     monkeypatch.setattr(game, "_LabelGameEngine", Spy)

@@ -232,6 +232,16 @@ class TestAdversaryAnswer:
         with pytest.raises(ValueError, match="^target 4 out of range$"):
             adversary_answer(dm, initial_state(4), 0, AdversaryPolicy.fixed_target(4))
 
+    def test_fixed_target_outside_the_candidates(self):
+        """Query 1 splits candidates {0, 1} into distances 1 and 0; target
+        3, at distance 2, would answer what no candidate gives."""
+        dm = distance_matrix(cycle_graph(4))
+        state = GameState(queries=[], observations=[], candidates=np.array([0, 1]))
+        assert sorted(distance_partition(dm, state.candidates, 1)) == [0, 1]
+        with pytest.raises(ValueError, match="^target 3 is not among the candidates$"):
+            adversary_answer(dm, state, 1, AdversaryPolicy.fixed_target(3))
+        assert adversary_answer(dm, state, 1, AdversaryPolicy.fixed_target(0)) == 1
+
 
 class TestPlayGame:
     def test_transcript_on_cycle(self):

@@ -134,8 +134,7 @@ def test_diagonal_rule_counts_equal_the_planes(width, count_budget):
     g = sample_gnp(n, p, seed)
     assert is_connected(g)
     engine = distance_matrix(g)._engine
-    engine.full_counts()
-    table, got_width = engine.compact_table()
+    table, got_width = engine.table, engine.width
     assert got_width == width
     assert engine.diagonal
     rng = np.random.default_rng(width)
@@ -162,19 +161,36 @@ DEGREE_GRAPHS = [
 
 @pytest.mark.parametrize("g", DEGREE_GRAPHS)
 def test_degree_counts_equal_the_checked_planes(g, count_budget):
-    """A graph-built engine obeys the diagonal rule from the start, and its
-    full counts equal those a hand-built matrix of the same table counts by
-    planes and checks, and each query's label histogram."""
+    """A graph-built engine obeys the diagonal rule from the start, and so
+    does a hand-built matrix of the same table, whose engine checks it.
+    Both full counts equal the counts by planes, and each query's label
+    histogram."""
     dm = distance_matrix(g)
     built, hand = dm._engine, DistanceMatrix(g.n, dm.table)._engine
-    assert built.diagonal and not hand.diagonal
-    got, planes = built.full_counts(), hand.full_counts()
-    assert got.dtype == planes.dtype == np.int32
-    assert np.array_equal(got, planes)
-    width = built.compact_table()[1]
-    assert np.array_equal(got.T, [np.bincount(row, minlength=width) for row in dm.d])
     assert built.diagonal and hand.diagonal
+    width = built.width
+    got, checked = built.full_counts(), hand.full_counts()
+    planes = _label_counts(hand.table, np.arange(g.n), width)
+    assert got.dtype == checked.dtype == planes.dtype == np.int32
+    assert np.array_equal(got, planes) and np.array_equal(checked, planes)
+    assert np.array_equal(got.T, [np.bincount(row, minlength=width) for row in dm.d])
     assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("width", sorted(WIDTH_SAMPLES))
+def test_hand_built_rule_is_fixed_at_construction(width, count_budget):
+    """A hand-built matrix of a graph's table obeys the diagonal rule as
+    soon as its engine is built, before any count, and every count of that
+    engine equals the counts by planes."""
+    n = WIDTH_SAMPLES[width][0]
+    dm = distance_matrix(sample_gnp(*WIDTH_SAMPLES[width]))
+    engine = DistanceMatrix(n, dm.table)._engine
+    assert engine.diagonal and engine._full is None
+    rows = np.random.default_rng(width).choice(n, n // 2, replace=False)
+    for lo, hi in [(0, None), (3, n // 2)]:
+        assert np.array_equal(engine.counts(rows, lo, hi), _label_counts(engine.table, rows, width, lo, hi))
+    assert np.array_equal(engine.full_counts(), _label_counts(engine.table, np.arange(n), width))
+    assert engine.diagonal
 
 
 def test_width_3_degree_counts_read_no_table_entry():
@@ -184,7 +200,8 @@ def test_width_3_degree_counts_read_no_table_entry():
     dm = distance_matrix(g)
     expected = DistanceMatrix(g.n, dm.table)._engine.full_counts()
     engine = dm._engine
-    engine._compact = (np.full_like(dm.table, 2), 3)
+    assert engine.width == 3
+    engine.table = np.full_like(dm.table, 2)
     assert np.array_equal(engine.full_counts(), expected)
 
 
@@ -270,9 +287,25 @@ def test_twin_table_keeps_the_planes():
     assert played[1] == played[2]
 
 
+FOUR_BY_FOUR = np.array([[0, 1, 0, 1], [0, 0, 1, 1], [1, 0, 0, 1], [1, 1, 1, 0]], dtype=np.uint8)
+
+
+@pytest.mark.parametrize(
+    "labels", [twin_table(), twin_table(separated_by=5), FOUR_BY_FOUR], ids=["twin", "near-twin", "matrix-4x4"]
+)
+def test_failed_check_stays_off(labels):
+    """A table that fails the check at construction keeps the planes
+    through every count: nothing switches the rule on later."""
+    engine = _LabelGameEngine(labels)
+    assert not engine.diagonal
+    engine.full_counts()
+    engine.largest_cells(np.arange(labels.shape[1]))
+    assert not engine.diagonal
+
+
 def test_matrix_engine_keeps_the_planes():
     """A binary matrix with two 0s in a column fails the check."""
-    bits = np.array([[0, 1, 0, 1], [0, 0, 1, 1], [1, 0, 0, 1], [1, 1, 1, 0]], dtype=np.uint8)
+    bits = FOUR_BY_FOUR
     engine = _LabelGameEngine(bits)
     engine.full_counts()
     assert not engine.diagonal

@@ -97,7 +97,7 @@ def test_hand_built_int32_table():
     labels = distance_matrix(connected_gnp(60, 0.2)).d.copy()
     dm = DistanceMatrix(60, labels)
     assert dm.d is labels
-    table, width = dm._engine.compact_table()
+    table, width = dm._engine.table, dm._engine.width
     assert table.dtype == np.uint8 and table.flags.c_contiguous
     assert not np.shares_memory(table, labels)
     expected, expected_width = _label_table(labels)
@@ -111,7 +111,7 @@ def test_engine_reads_the_graph_table_in_place():
     dm = distance_matrix(connected_gnp(300, 0.3))
     assert f_separator_exists(dm, range(300), 1.0, 0.0) == (True, 0)
     assert dm._engine.labels is dm.table
-    assert np.shares_memory(dm._engine.compact_table()[0], dm.table)
+    assert np.shares_memory(dm._engine.table, dm.table)
 
 
 @pytest.mark.parametrize("p", [0.3, 0.05])

@@ -42,6 +42,7 @@ from seqlocate import (
     reducer_score,
     sample_bernoulli,
     sample_gnp,
+    sqc_play,
 )
 from seqlocate.game import _LabelGameEngine, _play_on_labels
 from seqlocate.localization import _greedy_refinement, _label_table
@@ -49,7 +50,7 @@ from seqlocate.localization import _greedy_refinement, _label_table
 
 def greedy_refinement(labels: np.ndarray) -> list[int]:
     """The package's greedy over a label table given as (queries, targets)."""
-    return _greedy_refinement(*_label_table(labels))
+    return _greedy_refinement(_LabelGameEngine(labels))
 
 
 def reference_greedy_refinement(labels: np.ndarray) -> list[int]:
@@ -265,14 +266,20 @@ def test_corpus_has_both_matrix_outcomes():
     assert "ok" in results and "error" in results
 
 
+# The engine holds no table without queries: the greedy's caller sees the
+# engine's error where the reference finds the targets not separable.
+EMPTY_TABLE = ("error", "label table must be 2-d and nonempty")
+
+
 @pytest.mark.parametrize("labels", TABLES)
 def test_greedy_refinement_matches_reference(labels, budget, phase):
-    assert outcome(greedy_refinement, labels) == outcome(reference_greedy_refinement, labels)
+    expected = outcome(reference_greedy_refinement, labels) if labels.size else EMPTY_TABLE
+    assert outcome(greedy_refinement, labels) == expected
 
 
 @pytest.mark.parametrize("labels", NON_SEPARABLE)
 def test_non_separable_table_raises(labels):
-    with pytest.raises(ValueError, match="not separable"):
+    with pytest.raises(ValueError, match="not separable" if labels.size else EMPTY_TABLE[1]):
         greedy_refinement(labels)
 
 
@@ -328,10 +335,10 @@ def test_held_counts_equal_a_fresh_recount(labels, block, monkeypatch):
     rounds = []
     split = localization._split_counts
 
-    def checked(table, width, held, rows, keys):
-        new = split(table, width, held, rows, keys)
-        assert new.tolist() == recount(table, width, rows, keys).tolist()
-        rounds.append(new.shape[0] // width)
+    def checked(engine, held, rows, keys):
+        new = split(engine, held, rows, keys)
+        assert new.tolist() == recount(engine.table, engine.width, rows, keys).tolist()
+        rounds.append(new.shape[0] // engine.width)
         return new
 
     monkeypatch.setattr(localization, "_split_counts", checked)
@@ -358,15 +365,17 @@ def test_split_counts_by_slot_kind(dtype, monkeypatch):
     classes = np.repeat([0, 1, 2], [8, 5, 3])
     keys = classes * width + table[rows, 0]
     held = recount(table, width, rows, classes * width).astype(dtype)
+    engine = _LabelGameEngine(table.T)
+    assert np.array_equal(engine.table, table) and engine.width == width
     counted = []
-    real = localization._label_counts
+    real = engine.counts
 
-    def spy(table, rows, width):
+    def spy(rows):
         counted.append(rows.tolist())
-        return real(table, rows, width)
+        return real(rows)
 
-    monkeypatch.setattr(localization, "_label_counts", spy)
-    new = localization._split_counts(table, width, held, rows, keys)
+    monkeypatch.setattr(engine, "counts", spy)
+    new = localization._split_counts(engine, held, rows, keys)
     assert new.dtype == dtype
     assert new.tolist() == recount(table, width, rows, keys).tolist()
     assert new.shape[0] == 4 * width  # class 0's three children and class 1's largest
@@ -382,9 +391,9 @@ def test_int64_held_counts_pick_the_same(labels, monkeypatch):
     dtypes = []
     split = localization._split_counts
 
-    def spy(table, width, held, rows, keys):
+    def spy(engine, held, rows, keys):
         dtypes.append(held.dtype)
-        return split(table, width, held, rows, keys)
+        return split(engine, held, rows, keys)
 
     monkeypatch.setattr(localization, "_split_counts", spy)
     assert outcome(greedy_refinement, labels) == outcome(reference_greedy_refinement, labels)
@@ -420,7 +429,11 @@ def test_class_pairs_lists_every_same_class_pair():
 
 
 def test_empty_target_set_needs_no_query():
-    assert greedy_refinement(np.zeros((2, 0), dtype=np.int64)) == []
+    """The engine rejects a table with no targets, so the greedy never sees
+    one; its callers answer a single target with no query."""
+    with pytest.raises(ValueError, match=EMPTY_TABLE[1]):
+        greedy_refinement(np.zeros((2, 0), dtype=np.int64))
+    assert qc_greedy(BinaryMatrix(2, 1, np.array([[0], [1]], dtype=np.uint8))) == ()
 
 
 @pytest.mark.parametrize("labels", GNP + PATHS_CYCLES + MATRICES)
@@ -438,9 +451,9 @@ def test_maxgain_play_both_updates():
     calls: list[np.ndarray] = []
     count = game._label_counts
 
-    def spy(table, rows, width, *args):
+    def spy(table, rows, width, *args, **kwargs):
         calls.append(rows.copy())
-        return count(table, rows, width, *args)
+        return count(table, rows, width, *args, **kwargs)
 
     for labels in [p.values[0] for p in GNP + PATHS_CYCLES + MATRICES]:
         nt = labels.shape[1]
@@ -476,6 +489,24 @@ def test_qc_greedy_matches_reference(labels, budget, phase):
     else:
         with pytest.raises(UndefinedQueryComplexityError):
             qc_greedy(a)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 33])
+def test_all_ones_but_the_diagonal_takes_the_rule(n, budget):
+    """J - I is the one square 0/1 matrix whose 0s lie exactly on its
+    diagonal.  Its engine takes the diagonal rule, and ``qc_greedy`` and a
+    MAX-GAIN ``sqc_play`` against greedy-max-cell are the references'.  One
+    more 0, or the identity, fails the check."""
+    bits = (1 - np.eye(n)).astype(np.uint8)
+    assert _LabelGameEngine(bits).diagonal
+    a = BinaryMatrix(n, n, bits)
+    assert qc_greedy(a) == tuple(reference_greedy_refinement(bits))
+    t = sqc_play(a, Player1Policy.max_gain(), AdversaryPolicy.greedy_max_cell())
+    assert ([(s.query, s.answer, s.candidates) for s in t.steps], t.resolved) == reference_maxgain_play(bits, None)
+    extra = bits.copy()
+    extra[0, n - 1] = 0
+    assert not _LabelGameEngine(extra).diagonal
+    assert not _LabelGameEngine(np.eye(n, dtype=np.uint8)).diagonal
 
 
 @pytest.mark.parametrize("labels", GNP[::3] + PATHS_CYCLES + MATRICES[::3])
@@ -705,12 +736,13 @@ def test_worst_walk_matches_reference():
     assert errors > 0  # some 14x64 matrices have equal columns
 
 
-def test_reducer_score_reads_one_row():
-    """One ``reducer_score`` call on a fresh distance matrix leaves the
-    engine's compact (targets, queries) table unbuilt."""
+def test_reducer_score_reads_one_row(monkeypatch):
+    """One ``reducer_score`` call on a fresh distance matrix counts nothing
+    of the engine's table: no label count and no full counts."""
     dm = distance_matrix(sample_gnp(60, 0.2, 11))
+    monkeypatch.setattr(game, "_label_counts", None)  # any count would raise
     assert reducer_score(dm, np.arange(60), 7) == reference_reducer_score(dm, np.arange(60), 7)
-    assert dm._engine._compact is None
+    assert dm._engine._full is None
 
 
 @pytest.mark.parametrize("leaf", [1, 5, 10])
