@@ -7,7 +7,7 @@ with both sides optimal is the sequential metric dimension.  MAX-GAIN is
 the greedy query rule: pick the node whose distance partition has the
 smallest largest cell.
 
-The machinery is generic over a response table ``labels[w, t]`` (the answer
+The machinery is generic over a response table ``table[t, w]`` (the answer
 to query w when the target is t), so the same engine drives both the graph
 game (labels = hop distances) and the binary-matrix game.
 """
@@ -165,20 +165,19 @@ class _LabelGameEngine:
 
     The one owner of a response table: a ``DistanceMatrix`` carries one
     engine, and every solver, played game and stepwise function given that
-    matrix reads the table through it.  The engine also owns the table's
-    counting form (``table``, ``width``) and its diagonal rule, both fixed
-    when it is built.  The array path (candidate index arrays, label counts
-    per query through ``counts``) scales to thousands of targets and drives
+    matrix reads the table through it, as ``table[t, w]``: one orientation,
+    (targets, queries), for answers and counts alike.  Its label ``width``
+    and diagonal rule are fixed when it is built.  The array path
+    (candidate index arrays, label counts per query through ``counts``) scales to thousands of targets and drives
     played games and the greedy resolving set.  The bitset path encodes
     candidate sets as ints for the exact game value, a bounded decision
     search seeded by the MAX-GAIN worst case, and is limited to 64 targets.
     """
 
-    def __init__(self, labels: np.ndarray, symmetric: bool = False, degrees: np.ndarray | None = None) -> None:
-        """``symmetric`` marks a table with ``labels[w, t] == labels[t, w]``
-        (a graph's distances): it is its own transpose, so ``_label_table``
-        reads it in place when it is already the narrowest dtype, as
-        ``distance_matrix`` writes it.
+    def __init__(self, table: np.ndarray, degrees: np.ndarray | None = None) -> None:
+        """``table[t, w]`` is the label of target t under query w.
+        ``_label_table`` casts it, in place when it is already C-ordered in
+        the narrowest dtype, as ``distance_matrix`` writes it.
 
         ``diagonal`` is the diagonal rule, decided here once: label 0 lies
         only on the diagonal of a square table, as in every graph distance
@@ -191,12 +190,11 @@ class _LabelGameEngine:
         the rule holds when it is square with an all-zero diagonal and
         exactly ``nt`` zeros.  A ``BinaryMatrix`` other than J - I, or a
         hand-built table with an off-diagonal 0, keeps the planes."""
-        labels = np.asarray(labels)
-        if labels.ndim != 2 or labels.shape[0] == 0 or labels.shape[1] == 0:
+        table = np.asarray(table)
+        if table.ndim != 2 or table.shape[0] == 0 or table.shape[1] == 0:
             raise ValueError("label table must be 2-d and nonempty")
-        self.labels = labels
-        self.nq, self.nt = labels.shape
-        self.table, self.width = _label_table(labels.T if symmetric else labels)  # (targets, queries)
+        self.nt, self.nq = table.shape
+        self.table, self.width = _label_table(table)
         self._degrees = degrees
         self.diagonal = degrees is not None or bool(
             self.nq == self.nt
@@ -248,9 +246,9 @@ class _LabelGameEngine:
         Callers check that w and the target are in range.
         """
         if policy.kind == "fixed-target":
-            return int(self.labels[w, policy.target])
+            return int(self.table[policy.target, w])
         if policy.kind == "greedy-max-cell":
-            return int(np.argmax(np.bincount(self.labels[w, t])))
+            return int(np.argmax(np.bincount(self.table[t, w])))
         return self.exact_answer(self.mask_of(t), w)
 
     # ---- bitset path ------------------------------------------------
@@ -273,7 +271,7 @@ class _LabelGameEngine:
                 raise ValueError(
                     f"exact game machinery handles at most {_BITSET_LIMIT} targets, got {self.nt}"
                 )
-            same = self.labels[:, :, None] == self.labels[:, None, :]
+            same = self.table.T[:, :, None] == self.table.T[:, None, :]  # per query, per target pair
             # a cell is listed at its lowest target, the first with its label
             w, low = np.nonzero(same.argmax(axis=1) == np.arange(self.nt))
             masks = _bitsets(same[w, low])
@@ -455,9 +453,9 @@ class _LabelGameEngine:
 
     def exact_answer(self, mask: int, w: int) -> int:
         """Label maximizing the remaining game value; smallest on ties."""
-        row = self.labels[w]  # a cell's label is its lowest target's
+        column = self.table[:, w]  # a cell's label is its lowest target's
         cells = self._search_tables()[0][w]
-        labelled = sorted((int(row[(cm & -cm).bit_length() - 1]), mask & cm) for cm in cells)
+        labelled = sorted((int(column[(cm & -cm).bit_length() - 1]), mask & cm) for cm in cells)
         _, label = max((self.game_value(cell), -lab) for lab, cell in labelled if cell)
         return -label
 
@@ -523,6 +521,7 @@ def _play_on_labels(
     """Play one game on the engine's table; the body of ``play_game`` and
     of the matrix game.
 
+    An answer keeps the candidates t with that label ``table[t, w]``.
     MAX-GAIN keeps the (labels, queries) counts of the candidate set across
     its steps and reads each step's largest cells from them, starting from
     the engine's ``full_counts``.  After an answer it counts whichever side
@@ -553,7 +552,7 @@ def _play_on_labels(
                 break  # sequence exhausted with candidates remaining
             w = p1.sequence[len(transcript.steps)]
         l = engine.answer(t, w, p2)
-        kept = engine.labels[w, t] == l
+        kept = engine.table[t, w] == l
         if counts is not None:
             if 2 * np.count_nonzero(kept) <= t.size:
                 counts = engine.counts(t[kept])
@@ -587,16 +586,16 @@ def _checked(dm: DistanceMatrix, t, w: int | None = None) -> tuple[_LabelGameEng
 def distance_partition(dm: DistanceMatrix, t: np.ndarray, w: int) -> dict[int, np.ndarray]:
     """Partition of candidate set ``t`` by distance to ``w``; nonempty cells only."""
     engine, t = _checked(dm, t, w)
-    row = engine.labels[w, t]
-    return {int(l): t[row == l] for l in np.flatnonzero(np.bincount(row))}
+    labels = engine.table[t, w]
+    return {int(l): t[labels == l] for l in np.flatnonzero(np.bincount(labels))}
 
 
 def reducer_score(dm: DistanceMatrix, t: np.ndarray, w: int) -> int:
     """Size of the largest cell of the distance partition of ``t`` under ``w``.
 
-    Reads the one row of ``w``, with no count of the engine's table."""
+    Reads the one column of ``w``, with no count of the engine's table."""
     engine, t = _checked(dm, t, w)
-    return int(np.bincount(engine.labels[w, t]).max())
+    return int(np.bincount(engine.table[t, w]).max())
 
 
 def max_gain_query(dm: DistanceMatrix, state: GameState, pool=None) -> int:

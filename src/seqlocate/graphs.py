@@ -185,9 +185,13 @@ class DistanceMatrix:
     read.  ``d`` is the same distances as int32 with ``UNREACHABLE``,
     widened from ``table`` on first read and cached.
 
-    A matrix that ``distance_matrix`` builds also keeps its graph's
-    degrees, which no constructor argument can set: a wrong degree vector
-    would corrupt the engine's counts silently.
+    A table given to the constructor must be an integer ndarray, (n, n),
+    symmetric, with a zero diagonal (a 0 off it is allowed), else
+    ValueError: the row readers, the engine's column reads and the
+    connectivity check on row 0 all rely on it.  ``distance_matrix``
+    builds through ``_of_graph`` instead, which skips that O(n**2) check,
+    met by construction, and is the one path that sets the graph's
+    degrees: a wrong degree vector would corrupt the engine's counts.
     """
 
     n: int
@@ -195,8 +199,23 @@ class DistanceMatrix:
     _degrees: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.table.shape != (self.n, self.n):
+        t = self.table
+        if not (isinstance(t, np.ndarray) and t.dtype.kind in "iu"):
+            raise ValueError(f"distance table must be an integer numpy array, got {getattr(t, 'dtype', type(t))}")
+        if t.shape != (self.n, self.n):
             raise ValueError("distance matrix shape does not match node count")
+        if np.diagonal(t).any():
+            raise ValueError("distance table must have a zero diagonal")
+        if not (t == t.T).all():
+            raise ValueError("distance table must be symmetric")
+
+    @classmethod
+    def _of_graph(cls, g: Graph, table: np.ndarray) -> DistanceMatrix:
+        """The matrix of ``g``'s all-pairs BFS ``table`` and its degrees,
+        built without ``__init__`` and so without ``__post_init__``."""
+        dm = cls.__new__(cls)
+        dm.__dict__.update(n=g.n, table=table, _degrees=g.indptr[1:] - g.indptr[:-1])
+        return dm
 
     @cached_property
     def d(self) -> np.ndarray:
@@ -218,7 +237,7 @@ class DistanceMatrix:
         # Undirected: row 0 is finite iff every node reaches node 0.
         if (self.table[0] == np.iinfo(self.table.dtype).max).any():
             raise DisconnectedGraphError("the graph is disconnected")
-        return _LabelGameEngine(self.table, symmetric=True, degrees=self._degrees)
+        return _LabelGameEngine(self.table, degrees=self._degrees)
 
 
 def _widened(table: np.ndarray, dtype=np.int32) -> np.ndarray:
@@ -450,10 +469,8 @@ def _blocks(cost: np.ndarray, budget: int):
 def distance_matrix(g: Graph) -> DistanceMatrix:
     """All-pairs hop distances for ``g``, in the narrow table of
     ``_distance_table`` (row v, lane w is d(v, w)).  The matrix keeps
-    ``g``'s degrees for its engine (``DistanceMatrix._engine``)."""
-    dm = DistanceMatrix(g.n, _distance_table(g, np.arange(g.n)))
-    object.__setattr__(dm, "_degrees", g.indptr[1:] - g.indptr[:-1])  # frozen, and no constructor argument
-    return dm
+    ``g``'s degrees for its engine (``DistanceMatrix._of_graph``)."""
+    return DistanceMatrix._of_graph(g, _distance_table(g, np.arange(g.n)))
 
 
 # Frontier nodes whose arcs ``is_connected`` reads in its first chunk of a

@@ -203,10 +203,11 @@ def _min_separating_subset(split: np.ndarray, cap: int) -> tuple[int, tuple[int,
 
 
 def _smallest_separating_set(
-    labels: np.ndarray, cap: int | None, what: str
+    table: np.ndarray, cap: int | None, what: str
 ) -> tuple[int, tuple[int, ...]]:
-    """Smallest set of queries (rows of ``labels``) under which every target
-    (column) has its own responses, with the lexicographically first witness.
+    """Smallest set of queries (columns of the (targets, queries) ``table``)
+    under which every target (row) has its own responses, with the
+    lexicographically first witness.
 
     The front end of ``md_exact`` and ``qc_exact``: ``cap`` follows
     ``_check_cap``, one target needs no query, and the search runs over
@@ -215,11 +216,11 @@ def _smallest_separating_set(
     ``cap`` (by default, the number of queries).
     """
     _check_cap(cap)
-    if labels.shape[1] == 1:
+    if table.shape[0] == 1:
         return 0, ()
-    limit = labels.shape[0] if cap is None else cap
-    first, second = np.triu_indices(labels.shape[1], 1)  # pair order of combinations()
-    found = _min_separating_subset(labels[:, first] != labels[:, second], limit)
+    limit = table.shape[1] if cap is None else cap
+    first, second = np.triu_indices(table.shape[0], 1)  # pair order of combinations()
+    found = _min_separating_subset((table[first] != table[second]).T, limit)
     if found is None:
         raise CapExceededError(f"no {what} of size <= {limit}")
     return found
@@ -239,8 +240,8 @@ def md_exact(g: Graph, cap: int | None = None) -> tuple[int, QuerySet]:
     ``cap`` (None or >= 0) limits the sizes tested; if no resolving set
     exists within it, CapExceededError is raised.
     """
-    labels = distance_matrix(g)._engine.labels  # DisconnectedGraphError if disconnected
-    size, witness = _smallest_separating_set(labels, cap, "resolving set")
+    table = distance_matrix(g)._engine.table  # DisconnectedGraphError if disconnected
+    size, witness = _smallest_separating_set(table, cap, "resolving set")
     return size, QuerySet(witness)
 
 
@@ -252,19 +253,18 @@ def md_exact(g: Graph, cap: int | None = None) -> tuple[int, QuerySet]:
 _BLOCK_ELEMENTS = 1 << 18
 
 
-def _label_table(labels: np.ndarray) -> tuple[np.ndarray, int]:
-    """The table transposed to (targets, queries) in the smallest unsigned
-    dtype that holds every label, and the label width (largest label + 1).
+def _label_table(table: np.ndarray) -> tuple[np.ndarray, int]:
+    """The (targets, queries) ``table`` cast to the smallest unsigned dtype
+    that holds every label, and the label width (largest label + 1).
 
     Rows are targets, so gathering the active targets reads whole rows.
-    The result is C-ordered, and copies only what the cast and the
-    transpose need: the transposed view of a C-ordered table already in
-    that dtype comes back as the table itself.
+    The result is C-ordered, and copies only what the cast and the layout
+    need: a C-ordered table already in that dtype comes back as itself.
     """
-    if labels.size and labels.dtype.kind not in "bu" and labels.min() < 0:
+    if table.size and table.dtype.kind not in "bu" and table.min() < 0:
         raise ValueError("labels must be nonnegative")
-    width = int(labels.max()) + 1 if labels.size else 1
-    return np.ascontiguousarray(labels.astype(np.min_scalar_type(width - 1), copy=False).T), width
+    width = int(table.max()) + 1 if table.size else 1
+    return np.ascontiguousarray(table.astype(np.min_scalar_type(width - 1), copy=False)), width
 
 
 def _column_blocks(n_queries: int, n_rows: int, cells: int):

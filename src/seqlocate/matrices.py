@@ -41,6 +41,8 @@ class BinaryMatrix:
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
             raise ValueError("matrix dimensions must be positive")
+        if not isinstance(self.bits, np.ndarray):
+            raise ValueError("entries must be uint8 zeros and ones")
         if self.bits.shape != (self.m, self.n):
             raise ValueError("bit array shape does not match declared dimensions")
         if self.bits.dtype != np.uint8 or not np.isin(self.bits, (0, 1)).all():
@@ -130,7 +132,7 @@ def qc_exact(a: BinaryMatrix, cap: int | None = None) -> tuple[int, tuple[int, .
     within ``cap`` (None or >= 0).
     """
     _require_distinct(a)
-    return _smallest_separating_set(a.bits, cap, "distinguishing row set")
+    return _smallest_separating_set(a.bits.T, cap, "distinguishing row set")
 
 
 def qc_greedy(a: BinaryMatrix) -> tuple[int, ...]:
@@ -138,7 +140,7 @@ def qc_greedy(a: BinaryMatrix) -> tuple[int, ...]:
     _require_distinct(a)
     if a.n == 1:
         return ()
-    return tuple(_greedy_refinement(_LabelGameEngine(a.bits)))
+    return tuple(_greedy_refinement(_LabelGameEngine(a.bits.T)))
 
 
 def sqc_exact(a: BinaryMatrix, cap: int | None = None) -> int:
@@ -148,14 +150,14 @@ def sqc_exact(a: BinaryMatrix, cap: int | None = None) -> int:
     matrix is a ValueError) as ``smd_exact`` (``_LabelGameEngine.exact_value``).
     """
     _require_distinct(a)
-    return _LabelGameEngine(a.bits).exact_value(cap)
+    return _LabelGameEngine(a.bits.T).exact_value(cap)
 
 
 def sqc_maxgain_worstcase(a: BinaryMatrix, cap: int | None = None) -> int:
     """Worst-case MAX-GAIN step count on the matrix game; hard limit 64
     columns, as for ``sqc_exact``."""
     _require_distinct(a)
-    return _LabelGameEngine(a.bits).worst_value(cap)
+    return _LabelGameEngine(a.bits.T).worst_value(cap)
 
 
 def sqc_play(
@@ -167,7 +169,7 @@ def sqc_play(
     """Play one matrix game; identical semantics to the graph game with
     cells indexed by the bit values {0, 1}."""
     _require_distinct(a)
-    return _play_on_labels(_LabelGameEngine(a.bits), p1, p2, step_cap)
+    return _play_on_labels(_LabelGameEngine(a.bits.T), p1, p2, step_cap)
 
 
 def read_matrix(text: str) -> BinaryMatrix:

@@ -47,10 +47,10 @@ from seqlocate.localization import _bitsets, _min_separating_subset, _smallest_s
 class ReferenceEngine(_LabelGameEngine):
     """Exact-value minimax: every reachable candidate set gets its value."""
 
-    def __init__(self, labels: np.ndarray, **kwargs) -> None:
-        super().__init__(labels, **kwargs)
+    def __init__(self, table: np.ndarray, **kwargs) -> None:
+        super().__init__(table, **kwargs)
         self._value_memo: dict[int, int] = {}
-        self._reference_cells = reference_cells(self.labels)
+        self._reference_cells = reference_cells(self.table.T)
 
     def _split(self, mask: int, w: int) -> list[int] | None:
         """Nonempty cells of mask under w, or None when w does not split."""
@@ -269,7 +269,7 @@ def test_criterion_1_corpus_values_and_witnesses():
 def test_criterion_9_corpus_values_and_witnesses():
     matrices = [p.values[0] for p in _distinct_matrices(12, 8, 200)]
     for bits in matrices:
-        assert _LabelGameEngine(bits).game_value() == ReferenceEngine(bits).minimax_value()
+        assert _LabelGameEngine(bits.T).game_value() == ReferenceEngine(bits.T).minimax_value()
         expected = _subset_outcome(reference_min_separating_subset, bits, reference_pair_masks)
         assert _subset_outcome(_search, bits, reference_pair_masks) == expected
 
@@ -290,7 +290,7 @@ def test_corpus_has_deep_games_and_witnesses_that_need_the_last_query():
 def test_pair_masks_and_subset_search_match_reference(labels):
     masks, full = reference_pair_masks(labels)
     expected = reference_min_separating_subset(masks, full, labels.shape[0])
-    assert _smallest_separating_set(labels, None, "set") == expected
+    assert _smallest_separating_set(labels.T, None, "set") == expected
     assert _search(masks, full, labels.shape[0]) == expected
     assert _search(masks, full, expected[0]) == expected
     if expected[0] > 1:
@@ -302,7 +302,7 @@ def test_values_match_reference(labels):
     """Values and decision tests on all targets, then on random candidate
     subsets with the same two engines, so memo entries left by one query
     are reused by the next."""
-    new, ref = _LabelGameEngine(labels), ReferenceEngine(labels)
+    new, ref = _LabelGameEngine(labels.T), ReferenceEngine(labels.T)
     nt = labels.shape[1]
     rng = np.random.default_rng(nt * 7919 + labels.shape[0])
     subsets = [rng.choice(nt, size=int(rng.integers(1, nt + 1)), replace=False) for _ in range(6)]
@@ -315,7 +315,7 @@ def test_values_match_reference(labels):
 
 
 def _transcript(labels, p1, p2):
-    t = _play_on_labels(game._LabelGameEngine(labels), p1, p2, None)
+    t = _play_on_labels(game._LabelGameEngine(labels.T), p1, p2, None)
     return [(s.query, s.answer, s.candidates) for s in t.steps], t.resolved
 
 
@@ -341,19 +341,19 @@ def test_exact_minimax_transcripts_match_reference(labels, monkeypatch):
 )
 def test_non_separable_table_raises_like_reference(labels):
     with pytest.raises(ValueError, match="admits no splitting query") as expected:
-        ReferenceEngine(labels).minimax_value()
+        ReferenceEngine(labels.T).minimax_value()
     with pytest.raises(ValueError, match="admits no splitting query") as got:
-        _LabelGameEngine(labels).game_value()
+        _LabelGameEngine(labels.T).game_value()
     assert str(got.value) == str(expected.value)
     with pytest.raises(ValueError, match="admits no splitting query"):
-        _LabelGameEngine(labels).exact_p1_choice((1 << labels.shape[1]) - 1)
+        _LabelGameEngine(labels.T).exact_p1_choice((1 << labels.shape[1]) - 1)
 
 
 def test_no_splitting_query_raises_value_error():
     """A table where every query makes one cell has no splitting query;
     the counting bound over one cell per query must not index past its
     table."""
-    engine = _LabelGameEngine(np.zeros((2, 3), dtype=np.int64))
+    engine = _LabelGameEngine(np.zeros((2, 3), dtype=np.int64).T)
     with pytest.raises(ValueError, match="admits no splitting query"):
         engine.exact_value()
     assert not engine.solve(engine.full_mask, 3)
@@ -373,8 +373,8 @@ def test_cap_bounds_the_search_work(monkeypatch):
     engines = []
 
     class Spy(_LabelGameEngine):
-        def __init__(self, labels, **kwargs):
-            super().__init__(labels, **kwargs)
+        def __init__(self, table, **kwargs):
+            super().__init__(table, **kwargs)
             engines.append(self)
 
     monkeypatch.setattr(game, "_LabelGameEngine", Spy)
@@ -402,7 +402,7 @@ def test_caps_agree_with_values():
     for param in MATRICES[::5]:
         bits = param.values[0]
         a = BinaryMatrix(bits.shape[0], bits.shape[1], bits)
-        value = _LabelGameEngine(bits).game_value()
+        value = _LabelGameEngine(bits.T).game_value()
         assert sqc_exact(a, cap=value) == value
         with pytest.raises(CapExceededError, match=f"exceeds cap {value - 1}"):
             sqc_exact(a, cap=value - 1)
@@ -596,6 +596,6 @@ def test_expanded_counts_are_pinned(make, args, value, expanded):
     recorded before the cell masks were packed by numpy.  The packing bound
     reads each query's first largest cell, so a change in cell order would
     show in the count even where the value stays."""
-    engine = _LabelGameEngine(make(*args))
+    engine = _LabelGameEngine(make(*args).T)
     assert engine.exact_value() == value
     assert engine.expanded == expanded

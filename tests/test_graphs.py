@@ -237,6 +237,40 @@ class TestDistances:
         with pytest.raises(ValueError, match="^distance matrix shape does not match node count$"):
             graphs.DistanceMatrix(3, np.zeros((3, 4), dtype=np.int32))
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            # Row reads and column counts disagree on it: query 0 reads a
+            # largest cell of 1 from its row, 2 from its column.
+            (np.array([[0, 1, 2], [1, 0, 1], [1, 1, 0]]), "symmetric"),
+            # Only row 0 is read for the no-path value.
+            (np.array([[0, 1], [255, 0]], dtype=np.uint8), "symmetric"),
+            (np.array([[0, 1], [UNREACHABLE, 0]], dtype=np.int32), "symmetric"),
+            (np.array([[0.0, 1.0], [1.0, 0.0]]), "integer numpy array"),
+            (np.array([[False, True], [True, False]]), "integer numpy array"),
+            (np.array([[0, 1], [1, 1]]), "zero diagonal"),
+            ([[0, 1], [1, 0]], "integer numpy array"),
+        ],
+        ids=["asymmetric", "no-path-below-row-0-uint8", "no-path-below-row-0-int32", "float", "bool",
+             "nonzero-diagonal", "list"],
+    )
+    def test_hand_built_table_rule(self, table, message):
+        with pytest.raises(ValueError, match=message):
+            graphs.DistanceMatrix(len(table), table)
+
+    def test_graph_built_matrix_skips_the_table_check(self, monkeypatch):
+        """``distance_matrix`` writes a table that meets the rule, so it
+        does not pay the O(n**2) check; a hand-built matrix does."""
+
+        def refuse(self):
+            raise AssertionError("checked")
+
+        monkeypatch.setattr(graphs.DistanceMatrix, "__post_init__", refuse)
+        dm = distance_matrix(cycle_graph(5))
+        assert dm.d.tolist() == [[min(abs(i - j), 5 - abs(i - j)) for j in range(5)] for i in range(5)]
+        with pytest.raises(AssertionError, match="checked"):
+            graphs.DistanceMatrix(5, dm.table)
+
     @pytest.mark.parametrize("seed", range(12))
     def test_engine_matches_plain_bfs(self, seed, block_budget):
         # p runs from 0.04 (disconnected, isolated nodes) to 0.26.

@@ -296,7 +296,7 @@ FOUR_BY_FOUR = np.array([[0, 1, 0, 1], [0, 0, 1, 1], [1, 0, 0, 1], [1, 1, 1, 0]]
 def test_failed_check_stays_off(labels):
     """A table that fails the check at construction keeps the planes
     through every count: nothing switches the rule on later."""
-    engine = _LabelGameEngine(labels)
+    engine = _LabelGameEngine(labels.T)
     assert not engine.diagonal
     engine.full_counts()
     engine.largest_cells(np.arange(labels.shape[1]))
@@ -306,7 +306,7 @@ def test_failed_check_stays_off(labels):
 def test_matrix_engine_keeps_the_planes():
     """A binary matrix with two 0s in a column fails the check."""
     bits = FOUR_BY_FOUR
-    engine = _LabelGameEngine(bits)
+    engine = _LabelGameEngine(bits.T)
     engine.full_counts()
     assert not engine.diagonal
     assert sqc_maxgain_worstcase(BinaryMatrix(4, 4, bits)) >= 1

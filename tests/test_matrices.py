@@ -48,6 +48,10 @@ class TestBinaryMatrix:
         with pytest.raises(ValueError):
             BinaryMatrix(1, 2, np.array([[0, 2]], dtype=np.uint8))
 
+    def test_list_bits_checked(self):
+        with pytest.raises(ValueError, match="entries must be uint8 zeros and ones"):
+            BinaryMatrix(1, 2, [[0, 1]])
+
     def test_accepts_binary(self):
         a = mat(BALANCED)
         assert (a.m, a.n) == (2, 4)

@@ -107,10 +107,10 @@ def test_hand_built_int32_table():
 
 def test_engine_reads_the_graph_table_in_place():
     """f_separator_exists on a fresh matrix builds no copy of the table: the
-    engine's labels and compact table are the matrix's own table."""
+    engine's table is the matrix's own table."""
     dm = distance_matrix(connected_gnp(300, 0.3))
     assert f_separator_exists(dm, range(300), 1.0, 0.0) == (True, 0)
-    assert dm._engine.labels is dm.table
+    assert dm._engine.table is dm.table
     assert np.shares_memory(dm._engine.table, dm.table)
 
 

@@ -50,7 +50,7 @@ from seqlocate.localization import _greedy_refinement, _label_table
 
 def greedy_refinement(labels: np.ndarray) -> list[int]:
     """The package's greedy over a label table given as (queries, targets)."""
-    return _greedy_refinement(_LabelGameEngine(labels))
+    return _greedy_refinement(_LabelGameEngine(labels.T))
 
 
 def reference_greedy_refinement(labels: np.ndarray) -> list[int]:
@@ -136,7 +136,7 @@ def outcome(fn, *args):
 
 def played(labels: np.ndarray, target: int | None) -> tuple[list[tuple[int, int, int]], bool]:
     adversary = AdversaryPolicy.greedy_max_cell() if target is None else AdversaryPolicy.fixed_target(target)
-    transcript = _play_on_labels(_LabelGameEngine(labels), Player1Policy.max_gain(), adversary, None)
+    transcript = _play_on_labels(_LabelGameEngine(labels.T), Player1Policy.max_gain(), adversary, None)
     return [(s.query, s.answer, s.candidates) for s in transcript.steps], transcript.resolved
 
 
@@ -365,7 +365,7 @@ def test_split_counts_by_slot_kind(dtype, monkeypatch):
     classes = np.repeat([0, 1, 2], [8, 5, 3])
     keys = classes * width + table[rows, 0]
     held = recount(table, width, rows, classes * width).astype(dtype)
-    engine = _LabelGameEngine(table.T)
+    engine = _LabelGameEngine(table)
     assert np.array_equal(engine.table, table) and engine.width == width
     counted = []
     real = engine.counts
@@ -404,7 +404,7 @@ def test_pair_counts_match_brute_force_past_one_block():
     rng = np.random.default_rng(9)
     labels = rng.integers(0, 3, size=(6, 50))
     labels[2] = 1  # leaves every pair equal: more than a uint8 sum can hold
-    table, _ = _label_table(labels)
+    table, _ = _label_table(labels.T)
     xs, ys = rng.integers(0, 50, size=(2, 3 * localization._PAIR_BLOCK + 7))
     expected = [int((labels[w, xs] == labels[w, ys]).sum()) for w in range(6)]
     assert localization._pair_counts(table, xs, ys).tolist() == expected
@@ -505,14 +505,14 @@ def test_all_ones_but_the_diagonal_takes_the_rule(n, budget):
     assert ([(s.query, s.answer, s.candidates) for s in t.steps], t.resolved) == reference_maxgain_play(bits, None)
     extra = bits.copy()
     extra[0, n - 1] = 0
-    assert not _LabelGameEngine(extra).diagonal
+    assert not _LabelGameEngine(extra.T).diagonal
     assert not _LabelGameEngine(np.eye(n, dtype=np.uint8)).diagonal
 
 
 @pytest.mark.parametrize("labels", GNP[::3] + PATHS_CYCLES + MATRICES[::3])
 def test_best_reducer_matches_reference_on_subsets(labels, budget):
     nq, nt = labels.shape
-    engine = _LabelGameEngine(labels)
+    engine = _LabelGameEngine(labels.T)
     rng = np.random.default_rng(nq * 7919 + nt)
     for _ in range(10):
         t = np.sort(rng.choice(nt, size=int(rng.integers(2, nt + 1)), replace=False))
@@ -522,7 +522,7 @@ def test_best_reducer_matches_reference_on_subsets(labels, budget):
 
 
 def test_best_reducer_empty_pool():
-    engine = _LabelGameEngine(np.array([[0, 1, 1], [1, 0, 1]]))
+    engine = _LabelGameEngine(np.array([[0, 1, 1], [1, 0, 1]]).T)
     with pytest.raises(ValueError, match="empty query pool"):
         engine.best_reducer(np.arange(3), np.zeros(2, dtype=bool))
 
@@ -534,7 +534,7 @@ def test_negative_labels_rejected_like_reference():
         greedy_refinement(labels)
     assert outcome(reference_best_reducer, labels, np.arange(3), [0, 1])[0] == "error"
     with pytest.raises(ValueError, match="nonnegative"):
-        _LabelGameEngine(labels).best_reducer(np.arange(3), np.ones(2, dtype=bool))
+        _LabelGameEngine(labels.T).best_reducer(np.arange(3), np.ones(2, dtype=bool))
 
 
 def reference_reducer_score(dm, t: np.ndarray, w: int) -> int:
@@ -691,7 +691,7 @@ def test_engine_scorers_match_reference_on_matrices(labels, budget):
     over a sorted pool."""
     nq, nt = labels.shape
     table = SimpleNamespace(n=nq, d=labels)  # what the references read of a dm
-    engine = _LabelGameEngine(labels)
+    engine = _LabelGameEngine(labels.T)
     rng = np.random.default_rng(nt)
     for t in candidate_sets(nt, rng, 6):
         expected = [reference_reducer_score(table, t, w) for w in range(nq)]
@@ -716,7 +716,7 @@ def test_search_cells_match_reference_in_order():
     query and in the same order (by lowest target)."""
     for labels in bitset_tables():
         expected = [tuple(cells.values()) for cells in reference_cells(labels)]
-        assert _LabelGameEngine(labels)._search_tables()[0] == expected
+        assert _LabelGameEngine(labels.T)._search_tables()[0] == expected
 
 
 def test_worst_walk_matches_reference():
@@ -726,7 +726,7 @@ def test_worst_walk_matches_reference():
     errors = 0
     for labels in bitset_tables():
         nt = labels.shape[1]
-        engine, cells = _LabelGameEngine(labels), reference_cells(labels)
+        engine, cells = _LabelGameEngine(labels.T), reference_cells(labels)
         rng = np.random.default_rng(nt)
         for t in [np.arange(nt)] + [rng.choice(nt, size=int(rng.integers(1, nt + 1)), replace=False) for _ in range(3)]:
             mask = engine.mask_of(t)
