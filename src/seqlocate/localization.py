@@ -235,8 +235,8 @@ def md_exact(g: Graph, cap: int | None = None) -> tuple[int, QuerySet]:
     witness is then read off position by position.  The tests below the
     metric dimension dominate the cost, which still grows steeply with n:
     on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4; medians of 9 calls), the
-    three G(32, 0.3) graphs of perfbench's exact-small pool take 3.9-4.2
-    ms, and three G(40, 0.3) graphs sampled the same way 46-61 ms.
+    three G(32, 0.3) graphs of perfbench's exact-small pool take 5.4-5.8
+    ms, and three G(40, 0.3) graphs sampled the same way 74-145 ms.
     ``cap`` (None or >= 0) limits the sizes tested; if no resolving set
     exists within it, CapExceededError is raised.
     """

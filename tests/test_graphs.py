@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import complete_graph, cycle_graph, path_graph
+from conftest import complete_graph, cycle_graph, path_graph, star_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -250,9 +250,13 @@ class TestDistances:
             (np.array([[False, True], [True, False]]), "integer numpy array"),
             (np.array([[0, 1], [1, 1]]), "zero diagonal"),
             ([[0, 1], [1, 0]], "integer numpy array"),
+            # The engine's label table rejects it only at first use.
+            (np.array([[0, -1], [-1, 0]]), r"entries must be in 0\.\.1 or the no-path value"),
+            # The engine would size its counts from 2**40 labels.
+            (np.array([[0, 2**40], [2**40, 0]], dtype=np.int64), r"entries must be in 0\.\.1 or the no-path value"),
         ],
         ids=["asymmetric", "no-path-below-row-0-uint8", "no-path-below-row-0-int32", "float", "bool",
-             "nonzero-diagonal", "list"],
+             "nonzero-diagonal", "list", "negative", "past-n-minus-1"],
     )
     def test_hand_built_table_rule(self, table, message):
         with pytest.raises(ValueError, match=message):
@@ -276,8 +280,12 @@ class TestDistances:
         # p runs from 0.04 (disconnected, isolated nodes) to 0.26.
         g = sample_gnp(50, 0.04 + 0.02 * seed, 100 + seed)
         dm = distance_matrix(g)
+        # distance_matrix takes the one-word table at n = 50; the blocked
+        # kernel is checked here too, at both block budgets.
+        blocked = graphs._widened(graphs._distance_table(g, np.arange(50)))
         for v in range(50):
             assert (dm.d[v] == bfs_distances(g, v)).all()
+            assert (blocked[v] == bfs_distances(g, v)).all()
 
     @pytest.mark.parametrize(
         "g",
@@ -358,6 +366,69 @@ class TestDistances:
         dm = distance_matrix(g)
         assert dm.d.shape == (130, 130)
         assert (dm.d[77] == bfs_distances(g, 77)).all()
+
+
+def assert_one_word_table(g: Graph) -> None:
+    """The one-word table is the blocked kernel's in values and dtype, and
+    each row is plain BFS."""
+    table = graphs._one_word_table(g)
+    blocked = graphs._distance_table(g, np.arange(g.n))
+    assert table.dtype == blocked.dtype == np.uint8
+    assert np.array_equal(table, blocked)
+    wide = graphs._widened(table)
+    for v in range(g.n):
+        assert (wide[v] == bfs_distances(g, v)).all()
+
+
+class TestOneWordTable:
+    @pytest.mark.parametrize(
+        "g",
+        [
+            pytest.param(Graph(1, []), id="single-node"),
+            pytest.param(Graph(6, []), id="edgeless-6"),
+            pytest.param(Graph(9, [(1, 2), (2, 3), (5, 6)]), id="isolated-nodes"),
+            pytest.param(Graph(8, [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 7)]), id="two-components"),
+            pytest.param(path_graph(64), id="P_64"),
+            pytest.param(cycle_graph(64), id="C_64"),
+            pytest.param(star_graph(63), id="S_64"),
+            pytest.param(complete_graph(64), id="K_64"),
+        ]
+        + [pytest.param(sample_gnp(64, p, 1), id=f"gnp-64-{p}") for p in (0.05, 0.3, 0.9)],
+    )
+    def test_matches_blocked_kernel_and_plain_bfs(self, g):
+        assert_one_word_table(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(min_value=1, max_value=64))
+    def test_random_graphs_match(self, data, n):
+        # Edge sets drawn directly (any shape), or G(n, p) at any density.
+        if data.draw(st.booleans()):
+            pairs = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+            g = Graph(n, {(min(u, v), max(u, v)) for u, v in pairs if u != v})
+        else:
+            g = sample_gnp(n, data.draw(st.floats(0.0, 1.0)), data.draw(st.integers(0, 10_000)))
+        assert_one_word_table(g)
+
+    def test_kernel_chosen_by_word_width(self, monkeypatch):
+        """64 nodes fit one word of lanes and take the one-word table; 65
+        take the blocked kernel."""
+        calls = []
+
+        def spy(name):
+            kernel = getattr(graphs, name)
+
+            def call(g, *args):
+                calls.append((name, g.n))
+                return kernel(g, *args)
+
+            return call
+
+        for name in ("_one_word_table", "_distance_table"):
+            monkeypatch.setattr(graphs, name, spy(name))
+        for n in (64, 65):
+            dm = distance_matrix(path_graph(n))
+            assert dm.table.dtype == np.uint8 and diameter(dm) == n - 1
+        assert calls == [("_one_word_table", 64), ("_distance_table", 65)]
 
 
 class TestLevelsAndDiameter:
