@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _check_node_count
 
 
 @dataclass(frozen=True)
@@ -244,8 +244,7 @@ def sample_gnp(n: int, p: float, seed) -> Graph:
     clamped there before the int64 cast: a vanishing p gives an edgeless
     graph, not an overflowing sum.
     """
-    if n < 1:
-        raise ValueError(f"node count must be positive, got {n}")
+    _check_node_count(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"need 0 <= p <= 1, got {p}")
     rng = np.random.default_rng(seed)

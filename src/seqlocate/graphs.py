@@ -47,8 +47,7 @@ class Graph:
     __slots__ = ("n", "indptr", "indices")
 
     def __init__(self, n: int, edges) -> None:
-        if n < 1:
-            raise ValueError(f"node count must be positive, got {n}")
+        _check_node_count(n)
         edges = edges if isinstance(edges, np.ndarray) else list(edges)
         try:
             ends = np.asarray(edges)
@@ -83,6 +82,12 @@ class Graph:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, m={self.num_edges})"
+
+
+def _check_node_count(n: int) -> None:
+    """The node-count rule of every graph type: ``n`` >= 1, else ValueError."""
+    if n < 1:
+        raise ValueError(f"node count must be positive, got {n}")
 
 
 def _index_array(values, what: str) -> np.ndarray:
@@ -172,7 +177,7 @@ def _first_bad_edge(n: int, u: np.ndarray, v: np.ndarray) -> str:
     return f"self-loop at node {a}" if a == b else f"duplicate edge ({a}, {b})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """All-pairs hop distances; ``table[v, w]`` is the distance from v to w.
 
@@ -183,22 +188,23 @@ class DistanceMatrix:
     place, as does ``is_resolving``; ``level_set``, ``diameter``,
     ``observation_vector`` and ``candidate_targets`` widen only what they
     read.  ``d`` is the same distances as int32 with ``UNREACHABLE``,
-    widened from ``table`` on first read and cached.
+    widened from ``table`` on first read and cached.  Instances compare by
+    identity, whatever their tables, and are hashable.
 
-    A table given to the constructor must be an integer ndarray, (n, n),
-    symmetric, with a zero diagonal (a 0 off it is allowed) and every entry
-    a distance 0..n-1 or the dtype's no-path value, else ValueError: the
-    row readers, the engine's column reads and the connectivity check on
-    row 0 all rely on it, and the engine sizes its counts from the largest
-    entry.  ``distance_matrix`` builds through ``_of_graph`` instead,
-    which skips those O(n**2) checks, met by construction, and is the one
-    path that sets the graph's degrees: a wrong degree vector would
-    corrupt the engine's counts.
+    A table given to the constructor must be an integer ndarray, (n, n)
+    with n >= 1, symmetric, with a zero diagonal (a 0 off it is allowed)
+    and every entry a distance 0..n-1 or the dtype's no-path value, else
+    ValueError: the row readers, the engine's column reads and the
+    connectivity check on row 0 all rely on it, and the engine sizes its
+    counts from the largest entry.  ``distance_matrix`` builds through
+    ``_of_graph`` instead, which skips those O(n**2) checks, met by
+    construction, and is the one path that sets the graph's degrees: a
+    wrong degree vector would corrupt the engine's counts.
     """
 
     n: int
     table: np.ndarray
-    _degrees: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _degrees: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         t = self.table
@@ -206,10 +212,11 @@ class DistanceMatrix:
             raise ValueError(f"distance table must be an integer numpy array, got {getattr(t, 'dtype', type(t))}")
         if t.shape != (self.n, self.n):
             raise ValueError("distance matrix shape does not match node count")
+        _check_node_count(self.n)
         if np.diagonal(t).any():
             raise ValueError("distance table must have a zero diagonal")
         top = np.iinfo(t.dtype).max
-        if t.size and (t.min() < 0 or ((t >= self.n) & (t != top)).any()):
+        if t.min() < 0 or ((t >= self.n) & (t != top)).any():
             raise ValueError(f"distance table entries must be in 0..{self.n - 1} or the no-path value {top}")
         if not (t == t.T).all():
             raise ValueError("distance table must be symmetric")

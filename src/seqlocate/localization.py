@@ -401,11 +401,10 @@ def _greedy_refinement(engine) -> list[int]:
     table of ``engine`` (a ``game._LabelGameEngine``; rows are targets).
 
     Maintains the partition of targets into classes with equal responses
-    to the chosen queries.  Each round picks the query minimizing the
-    number of still-unseparated pairs, breaking ties by smaller
-    worst-class size and then by lower query index.  Targets in
-    singleton classes drop out.  A chosen query is constant on every class,
-    so it separates nothing and is never chosen again: the round raises first.
+    to the chosen queries.  Each round picks a query by the unresolved
+    pairs it leaves (``_pick``).  Targets in singleton classes drop out.
+    A chosen query is constant on every class, so it separates nothing and
+    is never chosen again: the round raises first.
 
     The early rounds score every query over the cells of the active
     targets, from one table of cell counts held across them in (cells,
@@ -413,11 +412,10 @@ def _greedy_refinement(engine) -> list[int]:
     never writes.  Each later round first updates the table for the last
     pick, counting only the targets outside each class's largest child,
     one child at a time (``_split_counts``).  A query's unresolved pairs
-    are (sum of its squared cell sizes - |active|) / 2, and its worst cell
-    is read only when it ties on the fewest.  Once the unresolved pairs
-    number at most ``_PAIR_PHASE_FACTOR`` times the active targets, the
-    rest of the call scores queries over the list of those pairs instead
-    (``_pair_refinement``), which picks the same queries.
+    are (sum of its squared cell sizes - |active|) / 2.  Once the pairs
+    left number at most ``_PAIR_PHASE_FACTOR`` times the active targets,
+    the rest of the call scores queries over the list of those pairs
+    instead (``_pair_refinement``), which picks the same queries.
     """
     table, width = engine.table, engine.width
     active = np.arange(engine.nt)
@@ -434,11 +432,7 @@ def _greedy_refinement(engine) -> list[int]:
         if split is not None:
             held = _split_counts(engine, held, *split)
         unresolved = (np.einsum("ij,ij->j", held, held) - active.size) // 2
-        low = int(unresolved.min())
-        if low >= pairs_left:
-            raise ValueError("targets are not separable by the given queries")
-        tied = np.flatnonzero(unresolved == low)
-        w = int(tied[np.argmin(held[:, tied].max(axis=0))])
+        w = _pick(unresolved, pairs_left, lambda tied: held[:, tied].max(axis=0))
         chosen.append(w)
         keys = rank * width + table[active, w]
         alive = held[:, w] > 1  # the children that stay classes, in key order
@@ -446,6 +440,19 @@ def _greedy_refinement(engine) -> list[int]:
         split = active, keys
         active, rank = active[kept], (np.cumsum(alive) - 1)[keys[kept]]
     return chosen
+
+
+def _pick(unresolved: np.ndarray, pairs_left: int, worst_cells) -> int:
+    """The greedy's pick: fewest ``unresolved`` pairs, then smaller worst cell
+    (``worst_cells(tied)``, read only on a tie above 0: at 0 every worst cell
+    is 1), then lower index.  ValueError if none is below ``pairs_left``."""
+    low = int(unresolved.min())
+    if low >= pairs_left:
+        raise ValueError("targets are not separable by the given queries")
+    tied = np.flatnonzero(unresolved == low)
+    if low and tied.size > 1:
+        return int(tied[np.argmin(worst_cells(tied))])
+    return int(tied[0])
 
 
 def _unresolved_pairs(rank: np.ndarray) -> int:
@@ -502,20 +509,12 @@ def _pair_refinement(table: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> list[
 
     ``(xs, ys)`` lists every pair of targets within the current classes.
     Each round counts, per query, the pairs it leaves equal, which is the
-    cell kernel's (sum of squared cell sizes - |rows|) / 2, breaks ties as
-    the cell rounds do and keeps only the pairs the chosen query
-    leaves equal.
+    cell kernel's (sum of squared cell sizes - |rows|) / 2, picks as the
+    cell rounds do and keeps only the pairs the chosen query leaves equal.
     """
     chosen: list[int] = []
     while True:
-        unresolved = _pair_counts(table, xs, ys)
-        low = int(unresolved.min())
-        if low >= xs.size:
-            raise ValueError("targets are not separable by the given queries")
-        tied = np.flatnonzero(unresolved == low)
-        w = int(tied[0])
-        if low and tied.size > 1:  # with low == 0 every worst cell is 1
-            w = int(tied[np.argmin(_worst_cells(table, xs, ys, tied))])
+        w = _pick(_pair_counts(table, xs, ys), xs.size, lambda tied: _worst_cells(table, xs, ys, tied))
         chosen.append(w)
         keep = table[xs, w] == table[ys, w]
         xs, ys = xs[keep], ys[keep]
@@ -552,9 +551,7 @@ def md_greedy(g: Graph, dm: DistanceMatrix | None = None) -> QuerySet:
     """
     dm = _distances(g, dm)
     engine = dm._engine  # DisconnectedGraphError if disconnected
-    if g.n == 1:
-        return QuerySet(())
-    result = QuerySet(tuple(_greedy_refinement(engine)))
+    result = QuerySet(tuple(_greedy_refinement(engine)) if g.n > 1 else ())
     if not is_resolving(dm, result):  # pragma: no cover - termination guarantees this
         raise RuntimeError("greedy produced a non-resolving set")
     return result

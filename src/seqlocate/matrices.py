@@ -30,9 +30,10 @@ class MatrixFormatError(ValueError):
     """Malformed matrix text input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinaryMatrix:
-    """An m-by-n 0/1 matrix; rows are queries, columns are candidate targets."""
+    """An m-by-n 0/1 matrix; rows are queries, columns are candidate targets.
+    Instances compare by identity, whatever their bits, and are hashable."""
 
     m: int
     n: int
@@ -115,11 +116,14 @@ def gamma_qc_sqc(q: float) -> tuple[float, float]:
     return math.hypot(q, 1.0 - q), max(q, 1.0 - q)
 
 
-def _require_distinct(a: BinaryMatrix) -> None:
+def _engine(a: BinaryMatrix) -> _LabelGameEngine:
+    """Every matrix solver's instance: a fresh engine with ``a``'s columns as
+    targets.  UndefinedQueryComplexityError if two columns are equal."""
     if not columns_pairwise_distinct(a):
         raise UndefinedQueryComplexityError(
             "matrix has equal columns; no row set can tell the targets apart"
         )
+    return _LabelGameEngine(a.bits.T)
 
 
 def qc_exact(a: BinaryMatrix, cap: int | None = None) -> tuple[int, tuple[int, ...]]:
@@ -131,16 +135,12 @@ def qc_exact(a: BinaryMatrix, cap: int | None = None) -> tuple[int, tuple[int, .
     matrix already has equal columns, CapExceededError when nothing fits
     within ``cap`` (None or >= 0).
     """
-    _require_distinct(a)
-    return _smallest_separating_set(a.bits.T, cap, "distinguishing row set")
+    return _smallest_separating_set(_engine(a).table, cap, "distinguishing row set")
 
 
 def qc_greedy(a: BinaryMatrix) -> tuple[int, ...]:
     """Greedy row set keeping all columns distinct (partition refinement)."""
-    _require_distinct(a)
-    if a.n == 1:
-        return ()
-    return tuple(_greedy_refinement(_LabelGameEngine(a.bits.T)))
+    return tuple(_greedy_refinement(_engine(a))) if a.n > 1 else ()  # one column needs no row
 
 
 def sqc_exact(a: BinaryMatrix, cap: int | None = None) -> int:
@@ -149,15 +149,13 @@ def sqc_exact(a: BinaryMatrix, cap: int | None = None) -> int:
     Same decision search, cap rule and hard limit of 64 columns (a larger
     matrix is a ValueError) as ``smd_exact`` (``_LabelGameEngine.exact_value``).
     """
-    _require_distinct(a)
-    return _LabelGameEngine(a.bits.T).exact_value(cap)
+    return _engine(a).exact_value(cap)
 
 
 def sqc_maxgain_worstcase(a: BinaryMatrix, cap: int | None = None) -> int:
     """Worst-case MAX-GAIN step count on the matrix game; hard limit 64
     columns, as for ``sqc_exact``."""
-    _require_distinct(a)
-    return _LabelGameEngine(a.bits.T).worst_value(cap)
+    return _engine(a).worst_value(cap)
 
 
 def sqc_play(
@@ -168,8 +166,7 @@ def sqc_play(
 ) -> Transcript:
     """Play one matrix game; identical semantics to the graph game with
     cells indexed by the bit values {0, 1}."""
-    _require_distinct(a)
-    return _play_on_labels(_LabelGameEngine(a.bits.T), p1, p2, step_cap)
+    return _play_on_labels(_engine(a), p1, p2, step_cap)
 
 
 def read_matrix(text: str) -> BinaryMatrix:

@@ -230,7 +230,13 @@ def _distinct_matrices(m: int, n: int, count: int):
 CRITERION_1 = [distance_matrix(g).d for _, g in criterion_1_graphs()]
 GNP = list(_gnp_corpus())
 FAMILIES = list(_family_corpus())
-MATRICES = _distinct_matrices(12, 8, 20) + _distinct_matrices(14, 64, 3)
+# The Bernoulli(0.3) matrix (SQC 7) is the one instance here whose search
+# bounds a failed cell by the memo of the later cells of its query.
+MATRICES = (
+    _distinct_matrices(12, 8, 20)
+    + _distinct_matrices(14, 64, 3)
+    + [pytest.param(sample_bernoulli(10, 40, 0.3, 14000647).bits, id="bernoulli-10x40-0.3-14000647")]
+)
 TABLES = GNP + FAMILIES + MATRICES
 # The reference scan over combinations takes seconds on the near-complete
 # G(20, 0.95) samples (metric dimension above 10), so subsets skip them.

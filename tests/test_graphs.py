@@ -254,13 +254,22 @@ class TestDistances:
             (np.array([[0, -1], [-1, 0]]), r"entries must be in 0\.\.1 or the no-path value"),
             # The engine would size its counts from 2**40 labels.
             (np.array([[0, 2**40], [2**40, 0]], dtype=np.int64), r"entries must be in 0\.\.1 or the no-path value"),
+            # The engine and diameter would fail on it only at first use.
+            (np.zeros((0, 0), dtype=np.uint8), "^node count must be positive, got 0$"),
         ],
         ids=["asymmetric", "no-path-below-row-0-uint8", "no-path-below-row-0-int32", "float", "bool",
-             "nonzero-diagonal", "list", "negative", "past-n-minus-1"],
+             "nonzero-diagonal", "list", "negative", "past-n-minus-1", "no-nodes"],
     )
     def test_hand_built_table_rule(self, table, message):
         with pytest.raises(ValueError, match=message):
             graphs.DistanceMatrix(len(table), table)
+
+    def test_matrices_compare_by_identity(self):
+        dm = distance_matrix(cycle_graph(5))
+        twin = graphs.DistanceMatrix(5, dm.table.copy())
+        assert dm != twin and dm not in [twin]
+        assert dm == dm and dm in [twin, dm]
+        assert len({dm, twin, dm}) == 2
 
     def test_graph_built_matrix_skips_the_table_check(self, monkeypatch):
         """``distance_matrix`` writes a table that meets the rule, so it

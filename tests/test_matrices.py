@@ -43,6 +43,8 @@ class TestBinaryMatrix:
     def test_shape_checked(self):
         with pytest.raises(ValueError):
             BinaryMatrix(3, 2, np.zeros((2, 2), dtype=np.uint8))
+        with pytest.raises(ValueError, match="^matrix dimensions must be positive$"):
+            BinaryMatrix(0, 1, np.zeros((0, 1), dtype=np.uint8))
 
     def test_values_checked(self):
         with pytest.raises(ValueError):
@@ -55,6 +57,12 @@ class TestBinaryMatrix:
     def test_accepts_binary(self):
         a = mat(BALANCED)
         assert (a.m, a.n) == (2, 4)
+
+    def test_matrices_compare_by_identity(self):
+        a, twin = mat(BALANCED), mat(BALANCED)
+        assert a != twin and a not in [twin]
+        assert a == a and a in [twin, a]
+        assert len({a, twin, a}) == 2
 
 
 class TestCollisions:
