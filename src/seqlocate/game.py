@@ -100,9 +100,11 @@ class AdversaryPolicy:
 SMD_ESTIMATE_POLICIES = (Player1Policy.max_gain(), AdversaryPolicy.greedy_max_cell())
 
 
-@dataclass
+@dataclass(eq=False)
 class GameState:
-    """One side's view of a running game: history plus remaining candidates."""
+    """One side's view of a running game: history plus remaining candidates.
+
+    Instances compare by identity, as the candidates are an array."""
 
     queries: list[int]
     observations: list[int]
@@ -126,9 +128,10 @@ class TranscriptStep:
     candidates: int  # |T| after this step
 
 
-@dataclass
+@dataclass(eq=False)
 class Transcript:
-    """Record of one played game."""
+    """Record of one played game.  Instances compare by identity, as the
+    final candidates are an array."""
 
     initial_candidates: int
     steps: list[TranscriptStep] = field(default_factory=list)
@@ -158,6 +161,19 @@ def _min_largest_cell(largest: np.ndarray, pool: np.ndarray, size: int) -> tuple
     scores = np.where(pool, largest, size + 1)
     best_w = int(np.argmin(scores))
     return best_w, int(scores[best_w])
+
+
+def _dense_ranks(rows: np.ndarray) -> np.ndarray:
+    """Each row of the 2-d label array ``rows`` relabelled to the dense
+    ranks of its labels (0 for its smallest, 1 for the next, ...), so a
+    row of n entries uses labels below n and keeps the same cells."""
+    order = np.argsort(rows, axis=1, kind="stable")
+    ordered = np.take_along_axis(rows, order, axis=1)
+    ranks = np.zeros(rows.shape, dtype=np.intp)
+    np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=ranks[:, 1:])
+    out = np.empty_like(ranks)
+    np.put_along_axis(out, order, ranks, axis=1)
+    return out
 
 
 class _LabelGameEngine:
@@ -261,24 +277,40 @@ class _LabelGameEngine:
         """Cell masks per query and the counting-bound tables of the search.
 
         ``cells[w]`` holds query w's cells as bitsets, ordered by their
-        lowest target.  With k the most cells any query makes, ``reach[e]``
-        = k**e is the most candidates that e queries can tell apart, and
-        ``need[s]`` is the fewest queries that can resolve s candidates,
-        the least e with k**e >= s.
+        lowest target.  They come from label planes: the (queries, targets)
+        table compared with each label gives one (labels, queries, targets)
+        boolean array, packed in one ``_bitsets`` call; the empty masks are
+        dropped and each query's are sorted by their lowest bit.  That is
+        O(width * queries * targets), where a (queries, targets, targets)
+        equality cube cost O(queries * targets**2) for the same masks.  A
+        hand-built table whose width exceeds the target count is first
+        relabelled per query to dense ranks (``_dense_ranks``), so no table
+        pays more than the cube.
+
+        With k the most cells any query makes, ``reach[e]`` is the most
+        candidates that e queries can tell apart, and ``need[s]`` is the
+        fewest queries that can resolve s candidates, the least e with
+        ``reach[e] >= s``.  In general ``reach[e]`` = k**e.  Under the
+        diagonal rule a query's label-0 cell is the query's own target
+        alone, which needs no further query, so ``reach[e]`` = 1 + (k - 1)
+        * ``reach[e - 1]`` with ``reach[0]`` = 1.
         """
         if self._search is None:
             if self.nt > _BITSET_LIMIT:
                 raise ValueError(
                     f"exact game machinery handles at most {_BITSET_LIMIT} targets, got {self.nt}"
                 )
-            same = self.table.T[:, :, None] == self.table.T[:, None, :]  # per query, per target pair
-            # a cell is listed at its lowest target, the first with its label
-            w, low = np.nonzero(same.argmax(axis=1) == np.arange(self.nt))
-            masks = _bitsets(same[w, low])
-            ends = np.cumsum(np.bincount(w, minlength=self.nq)).tolist()
-            cells = [tuple(masks[a:b]) for a, b in zip([0] + ends, ends)]
+            table, width = self.table.T, self.width
+            if width > self.nt:
+                table, width = _dense_ranks(table), self.nt
+            planes = table == np.arange(width, dtype=table.dtype)[:, None, None]
+            masks = _bitsets(planes.reshape(-1, self.nt))
+            # a query's masks are every nq-th, one per label; a cell is listed at its lowest target
+            cells = [tuple(sorted(filter(None, masks[w :: self.nq]), key=lambda m: m & -m)) for w in range(self.nq)]
             k = max(map(len, cells))
-            reach = [k**e for e in range(self.nt + 1)]
+            reach = [1]
+            for _ in range(self.nt):
+                reach.append(1 + (k - 1) * reach[-1] if self.diagonal else k * reach[-1])
             need = [bisect_left(reach, s) for s in range(self.nt + 1)]
             self._search = cells, reach, need
         return self._search
@@ -322,14 +354,15 @@ class _LabelGameEngine:
         A decision search over candidate bitsets.  It memoizes a proven
         lower and upper bound on the game value of each mask it settles,
         so later tests at other depths reuse them.  A mask fails at once
-        when k**d is below its size (k: the most cells any query makes),
-        or when a packing of candidates that no query removes two at a
-        time is more than d + 1 large; a query is skipped when one of its
-        cells exceeds k**(d-1).  Queries are tried smallest largest cell
-        first (MAX-GAIN order), their cells largest first.  A failure
-        stores the lower bound 1 + min over queries of the largest lower
-        bound among the query's cells; a success stores 1 + the largest
-        upper bound among the cells of the query that passed.
+        when ``reach[d]`` (the counting bound of ``_search_tables``) is
+        below its size, or when a packing of candidates that no query
+        removes two at a time is more than d + 1 large; a query is skipped
+        when one of its cells exceeds ``reach[d - 1]``.  Queries are tried
+        smallest largest cell first (MAX-GAIN order), their cells largest
+        first.  A failure stores the lower bound 1 + min over queries of
+        the largest lower bound among the query's cells; a success stores
+        1 + the largest upper bound among the cells of the query that
+        passed.
         """
         _, reach, need = self._search_tables()
         splits = self.splits

@@ -358,12 +358,14 @@ def _distance_table(g: Graph, sources) -> np.ndarray:
     # from non-sources land, then packed into the frontier bits.  A block's
     # cost counts, per node, the neighbour indices it reads (one each, not
     # a bitset) and its output row, 8 words per word of lanes in uint8.
+    # The arc heads are cast to intp for the gather, which numpy runs
+    # slower through int32 indices.
     frontier = np.zeros((n, words), dtype=np.uint64)
     lanes_set = int(degree[src].sum())  # lanes the last level set, over every node
     for lo, hi in _blocks(degree + 8 * words, _BLOCK_WORDS):
         plane = np.zeros((hi - lo, s + 1), dtype=np.uint8)
         slots = np.repeat(np.arange(0, (hi - lo) * (s + 1), s + 1), degree[lo:hi])
-        slots += lane_of[indices[indptr[lo]:indptr[hi]]]
+        slots += lane_of[indices[indptr[lo]:indptr[hi]].astype(np.intp)]
         plane.reshape(-1)[slots] = 1
         plane = plane[:, :s]
         # A lane set here is a source's neighbour, so still unreached.
@@ -499,7 +501,7 @@ def _one_word_table(g: Graph) -> np.ndarray:
     never widens.
     """
     n = g.n
-    indptr, indices = g.indptr, g.indices
+    indptr, arc_heads = g.indptr, g.indices.astype(np.intp)  # numpy gathers slower through int32
     out = np.full((n, n), np.iinfo(np.uint8).max, dtype=np.uint8)
     out.reshape(-1)[:: n + 1] = 0
     nodes = np.flatnonzero(indptr[:-1] < indptr[1:])
@@ -510,7 +512,7 @@ def _one_word_table(g: Graph) -> np.ndarray:
     while True:
         level += 1
         gained = np.zeros(n, dtype=np.uint64)
-        gained[nodes] = np.bitwise_or.reduceat(frontier[indices], starts)
+        gained[nodes] = np.bitwise_or.reduceat(frontier[arc_heads], starts)
         gained &= ~reach
         if not gained.any():
             return out
@@ -561,7 +563,7 @@ def is_connected(g: Graph) -> bool:
             part = frontier[lo : lo + chunk]
             first = indptr[part]
             arcs, _ = _runs(first, indptr[part + 1] - first)
-            reached[indices[arcs]] = True
+            reached[indices[arcs].astype(np.intp)] = True  # numpy scatters slower through int32
             lo += chunk
             if lo >= frontier.size:
                 break

@@ -42,6 +42,53 @@ def reference_cells(labels: np.ndarray) -> list[dict[int, int]]:
     return cells
 
 
+def reference_worst_value(cells: list[dict[int, int]], mask: int) -> int:
+    """MAX-GAIN worst case over the ``reference_cells`` of a table: per
+    mask, scan every query's cells for the smallest largest cell (lowest
+    index on ties), then split on it."""
+
+    def choice(m: int) -> tuple[int, int]:
+        best_w = -1
+        best_s = m.bit_count() + 1
+        for w, query_cells in enumerate(cells):
+            worst = 0
+            for cm in query_cells.values():
+                c = (m & cm).bit_count()
+                if c > worst:
+                    worst = c
+            if worst < best_s:
+                best_s = worst
+                best_w = w
+        return best_w, best_s
+
+    def split(m: int, w: int) -> list[int] | None:
+        out = []
+        for cm in cells[w].values():
+            cell = m & cm
+            if cell == m:
+                return None
+            if cell:
+                out.append(cell)
+        return out
+
+    memo: dict[int, int] = {}
+
+    def walk(m: int) -> int:
+        if m & (m - 1) == 0:
+            return 0
+        cached = memo.get(m)
+        if cached is not None:
+            return cached
+        w, score = choice(m)
+        if score >= m.bit_count():
+            raise ValueError("candidate set admits no splitting query")
+        result = 1 + max(walk(c) for c in split(m, w))
+        memo[m] = result
+        return result
+
+    return walk(mask)
+
+
 def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 

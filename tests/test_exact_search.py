@@ -19,7 +19,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import complete_graph, criterion_1_graphs, cycle_graph, path_graph, reference_cells, star_graph
+from conftest import (
+    complete_graph, criterion_1_graphs, cycle_graph, path_graph, reference_cells, reference_worst_value, star_graph,
+)
 
 from seqlocate import (
     AdversaryPolicy,
@@ -366,13 +368,40 @@ def test_no_splitting_query_raises_value_error():
 
 
 def test_counting_bound_is_exact_at_its_edge():
-    """On K_40 every query makes 2 cells: 2**5 < 40 fails before any
-    expansion, 2**6 >= 40 has to search (and fails: the value is 39)."""
-    engine = _LabelGameEngine(distance_matrix(complete_graph(40)).d)
+    """Every query of a 20x40 Bernoulli matrix makes 2 cells: 2**5 < 40
+    fails before any expansion, 2**6 >= 40 has to search (and passes: the
+    value is 6)."""
+    engine = _LabelGameEngine(_distinct_bits(20, 40, 0.3, 0).T)
+    assert not engine.diagonal
     assert not engine.solve(engine.full_mask, 5)
     assert engine.expanded == 0
-    assert not engine.solve(engine.full_mask, 6)
+    assert engine.solve(engine.full_mask, 6)
     assert engine.expanded > 0
+
+
+def test_diagonal_counting_bound_is_exact_at_its_edge():
+    """On K_40 every query makes 2 cells, its own node and the rest, so e
+    queries tell apart at most e + 1 candidates: 38 queries fail before
+    any expansion, and 39, the value, has to search and passes."""
+    engine = _LabelGameEngine(distance_matrix(complete_graph(40)).d)
+    assert engine.diagonal
+    assert engine._search_tables()[1][:4] == [1, 2, 3, 4]
+    assert not engine.solve(engine.full_mask, 38)
+    assert engine.expanded == 0
+    assert engine.solve(engine.full_mask, 39)
+    assert engine.expanded > 0
+
+
+def test_diagonal_counting_bound_alone_settles_the_value():
+    """G(40, 0.5) has diameter 2, so a query makes at most 3 cells, one of
+    them its own node: 4 queries tell apart at most 1 + 2 * 7 = 15 < 40
+    candidates, and the MAX-GAIN worst case, 5, is the value with no mask
+    expanded (k**e = 81 >= 40 made the search expand 41 masks)."""
+    engine = _LabelGameEngine(_connected_table(40, 0.5, 0))
+    assert engine._search_tables()[1][:5] == [1, 3, 7, 15, 31]
+    assert engine.maxgain_worst_value() == 5
+    assert engine.exact_value() == 5
+    assert engine.expanded == 0
 
 
 def test_cap_bounds_the_search_work(monkeypatch):
@@ -588,10 +617,10 @@ def _distinct_bits(m: int, n: int, q: float, seed: int) -> np.ndarray:
 @pytest.mark.parametrize(
     "make, args, value, expanded",
     [
-        (_connected_table, (24, 0.3, 2), 4, 23),
+        (_connected_table, (24, 0.3, 2), 4, 15),
         (_connected_table, (30, 0.5, 4), 4, 34),
-        (_connected_table, (32, 0.3, 3), 4, 36),
-        (_connected_table, (40, 0.2, 5), 4, 98),
+        (_connected_table, (32, 0.3, 3), 4, 34),
+        (_connected_table, (40, 0.2, 5), 4, 79),
         (_distinct_bits, (14, 64, 0.5, 2), 6, 66),
         (_distinct_bits, (16, 32, 0.5, 0), 5, 38),
         (_distinct_bits, (20, 40, 0.3, 0), 6, 40),
@@ -601,7 +630,48 @@ def test_expanded_counts_are_pinned(make, args, value, expanded):
     """Game value and the number of masks the decision search expanded, as
     recorded before the cell masks were packed by numpy.  The packing bound
     reads each query's first largest cell, so a change in cell order would
-    show in the count even where the value stays."""
+    show in the count even where the value stays.  The graph rows were
+    re-recorded once, when the counting bound learnt that a graph query's
+    label-0 cell is one target (23, 34, 36 and 98 masks under k**e); the
+    matrix rows keep k**e and their counts."""
     engine = _LabelGameEngine(make(*args).T)
     assert engine.exact_value() == value
     assert engine.expanded == expanded
+
+
+def _plane_tables():
+    """Tables whose label planes are wide or many: a hand-built table with
+    labels far above n, one whose 64 x 64 labels are all distinct, paths and
+    cycles (width near n) and a 200-query Bernoulli matrix."""
+    rng = np.random.default_rng(5)
+    yield pytest.param((rng.random((10, 12)) < 0.5).astype(np.int64) << 40, id="labels-0-and-2**40")
+    yield pytest.param(rng.permutation(64 * 64).reshape(64, 64), id="distinct-64x64")
+    for make in (path_graph, cycle_graph):
+        for n in (3, 17, 63, 64):
+            yield pytest.param(distance_matrix(make(n)).d, id=f"{make.__name__}-{n}")
+    yield pytest.param(_distinct_bits(200, 64, 0.5, 0), id="bernoulli-200x64-0")
+
+
+@pytest.mark.parametrize("labels", list(_plane_tables()))
+def test_plane_cells_match_reference(labels):
+    """The label-plane cell masks are the reference loop's, in order, and
+    the worst walk and the game value are the reference engines', on all
+    targets and on random candidate sets.  The reference minimax takes
+    seconds past 10 candidates under 200 queries, so there the value of
+    all 64 targets is checked by its bound instead: 2**5 < 64."""
+    nt, nq = labels.shape[1], labels.shape[0]
+    engine, ref = _LabelGameEngine(labels.T), ReferenceEngine(labels.T)
+    cells = reference_cells(labels)
+    assert engine._search_tables()[0] == [tuple(c.values()) for c in cells]
+    rng = np.random.default_rng(nt)
+    largest = nt if nq <= 64 else 10
+    subsets = [rng.choice(nt, size=int(rng.integers(1, largest + 1)), replace=False) for _ in range(4)]
+    for picked in [np.arange(nt)] + subsets:
+        mask = engine.mask_of(picked)
+        worst = reference_worst_value(cells, mask)
+        assert engine.maxgain_worst_value(mask) == worst
+        value = ref.minimax_value(mask) if picked.size <= largest else worst
+        assert engine.game_value(mask) == value
+    if nq > 64:
+        assert engine.exact_value() == 6
+        assert engine.expanded == 0

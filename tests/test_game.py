@@ -102,6 +102,19 @@ class TestGameState:
         with pytest.raises(ValueError, match=message):
             GameState(queries=queries, observations=observations, candidates=np.arange(4))
 
+    def test_states_and_transcripts_compare_by_identity(self):
+        """Equal states or transcripts, arrays of two or more entries
+        included, compare by identity, with no numpy truth-value error."""
+        first, second = initial_state(5), initial_state(5)
+        assert first != second and first not in [second]
+        assert first == first and first in [second, first]
+        assert len({first, second, first}) == 2
+        dm = distance_matrix(connected_sample(30, 0.3, 0))
+        policies = (Player1Policy.max_gain(), AdversaryPolicy.greedy_max_cell())
+        t1, t2 = (play_game(dm, *policies, step_cap=1) for _ in range(2))
+        assert t1.steps == t2.steps and t1.final_candidates.size > 1
+        assert t1 != t2 and t1 == t1 and len({t1, t2}) == 2
+
 
 class TestPartitionAndScores:
     def test_partition_cycle(self):

@@ -11,8 +11,9 @@ default switch on.
 ``reference_reducer_score``, ``reference_max_gain_query`` and
 ``reference_f_separator_exists`` are the stepwise functions as they were
 before they became wrappers over the distance matrix's engine (one
-``np.unique`` per query), and ``reference_worst_value`` is the MAX-GAIN
-worst walk over the bitset scan that preceded the engine's own.
+``np.unique`` per query), and ``reference_worst_value`` (in ``conftest``)
+is the MAX-GAIN worst walk over the bitset scan that preceded the engine's
+own.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import criterion_1_graphs, cycle_graph, path_graph, reference_cells, star_graph
+from conftest import criterion_1_graphs, cycle_graph, path_graph, reference_cells, reference_worst_value, star_graph
 
 from seqlocate import (
     AdversaryPolicy,
@@ -579,53 +580,6 @@ def reference_f_separator_exists(dm, w_set, gamma: float, f_value: float) -> tup
         if counts.max() <= bound:
             return True, w
     return False, None
-
-
-def reference_worst_value(cells: list[dict[int, int]], mask: int) -> int:
-    """MAX-GAIN worst case over the ``reference_cells`` of a table: per
-    mask, scan every query's cells for the smallest largest cell (lowest
-    index on ties), then split on it."""
-
-    def choice(m: int) -> tuple[int, int]:
-        best_w = -1
-        best_s = m.bit_count() + 1
-        for w, query_cells in enumerate(cells):
-            worst = 0
-            for cm in query_cells.values():
-                c = (m & cm).bit_count()
-                if c > worst:
-                    worst = c
-            if worst < best_s:
-                best_s = worst
-                best_w = w
-        return best_w, best_s
-
-    def split(m: int, w: int) -> list[int] | None:
-        out = []
-        for cm in cells[w].values():
-            cell = m & cm
-            if cell == m:
-                return None
-            if cell:
-                out.append(cell)
-        return out
-
-    memo: dict[int, int] = {}
-
-    def walk(m: int) -> int:
-        if m & (m - 1) == 0:
-            return 0
-        cached = memo.get(m)
-        if cached is not None:
-            return cached
-        w, score = choice(m)
-        if score >= m.bit_count():
-            raise ValueError("candidate set admits no splitting query")
-        result = 1 + max(walk(c) for c in split(m, w))
-        memo[m] = result
-        return result
-
-    return walk(mask)
 
 
 def result(fn, *args, **kwargs):
