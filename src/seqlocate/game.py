@@ -540,9 +540,8 @@ class _LabelGameEngine:
 
 def _check_step_cap(step_cap: int | None) -> None:
     """The step cap rule of every played game: None (the target count) or
-    an int >= 1."""
-    if step_cap is not None and step_cap < 1:
-        raise ValueError(f"step cap must be >= 1, got {step_cap}")
+    an integer >= 1, by the integer rule of ``_check_cap``."""
+    _check_cap(step_cap, "step cap", 1)
 
 
 def _play_on_labels(

@@ -83,10 +83,16 @@ def _equal_pairs(table: np.ndarray) -> int:
     return _unresolved_pairs(np.concatenate(([0], np.cumsum(starts))))
 
 
-def _check_cap(cap: int | None) -> None:
-    """The cap rule of every exact solver: None or an int >= 0."""
-    if cap is not None and cap < 0:
-        raise ValueError(f"cap must be >= 0, got {cap}")
+def _check_cap(cap: int | None, what: str = "cap", least: int = 0) -> None:
+    """The cap rule of every exact solver: None or an integer >= ``least``,
+    else ValueError naming ``what``.  Python and numpy integers pass; a
+    float (even 2.0), a bool or a string does not."""
+    if cap is None:
+        return
+    if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {cap!r}")
+    if cap < least:
+        raise ValueError(f"{what} must be >= {least}, got {cap}")
 
 
 def _bitsets(rows: np.ndarray) -> list[int]:
@@ -120,6 +126,73 @@ def _scarcest_first(split: np.ndarray) -> tuple[list[int], list[int]]:
     return _bitsets(table), _bitsets(table.T)
 
 
+def _cover_test(supports: list[int], missed: list[int]):
+    """The decision test of ``_min_separating_subset`` over the hitting-set
+    form of ``_scarcest_first``, with ``missed[i]`` the pairs query i does
+    not separate (every pair bit but those of ``covers[i]``).
+
+    ``cover(uncovered, allowed, left)`` returns at most ``left`` queries
+    from ``allowed`` that separate every uncovered pair, as a bitmask of
+    query positions, or None.  It branches only on the queries that
+    separate the first uncovered pair, removing each tried one from
+    ``allowed`` for its later siblings, since any cover holding it was
+    already tried.  With one query left it ANDs the supports of the
+    uncovered pairs and fails as soon as the AND is empty.  With two left
+    it settles each branch query q in one loop, with no call per
+    one-query test: ``rest = uncovered & missed[q]``, and q alone passes
+    when ``rest`` is empty; otherwise the supports of ``rest``'s pairs are
+    ANDed, scarcest first, into ``allowed``.  Once at most one query is
+    left in the AND, that query passes only if it separates all of
+    ``rest``; if every pair was read with several left, the lowest passes.
+    """
+
+    def cover(uncovered: int, allowed: int, left: int) -> int | None:
+        if not uncovered:
+            return 0
+        if left == 1:
+            while uncovered:
+                low = uncovered & -uncovered
+                allowed &= supports[low.bit_length() - 1]
+                if not allowed:
+                    return None
+                uncovered ^= low
+            return allowed & -allowed
+        if not left:
+            return None
+        low = uncovered & -uncovered
+        branch = supports[low.bit_length() - 1] & allowed
+        if left == 2:
+            while branch:
+                q = branch & -branch
+                branch ^= q
+                allowed ^= q
+                rest = uncovered & missed[q.bit_length() - 1]
+                if not rest:
+                    return q
+                a, todo = allowed, rest
+                while todo:
+                    low = todo & -todo
+                    a &= supports[low.bit_length() - 1]
+                    if not a & (a - 1):  # one candidate or none left
+                        if a and not rest & missed[a.bit_length() - 1]:
+                            return a | q
+                        break
+                    todo ^= low
+                else:
+                    return (a & -a) | q
+            return None
+        while branch:
+            q = branch & -branch
+            branch ^= q
+            allowed ^= q
+            rest = cover(uncovered & missed[q.bit_length() - 1], allowed, left - 1)
+            if rest is not None:
+                return rest | q
+        return None
+
+    return cover
+
+
 def _min_separating_subset(split: np.ndarray, cap: int) -> tuple[int, tuple[int, ...]] | None:
     """Smallest subset of queries that separates every target pair.
 
@@ -127,12 +200,13 @@ def _min_separating_subset(split: np.ndarray, cap: int) -> tuple[int, tuple[int,
     search over the target pairs, with the queries that separate anything
     (``useful``, in index order) renumbered 0..Q-1 and the pairs renumbered
     scarcest first (``_scarcest_first``).  The decision test
-    ``cover(uncovered, allowed, left)`` looks for at most ``left`` queries
-    from ``allowed`` that separate every uncovered pair.  It branches only
-    on the queries that separate the first uncovered pair, removing each
-    tried one from ``allowed`` for its later siblings, since any cover
-    holding it was already tried.  With one query left it ANDs the supports
-    of the uncovered pairs and fails as soon as the AND is empty.
+    ``cover(uncovered, allowed, left)`` (``_cover_test``) looks for at most
+    ``left`` queries from ``allowed`` that separate every uncovered pair.
+    Its last two levels are merged: a node with two queries left settles
+    each branch query q in one loop, ANDing the supports of the pairs q
+    misses into the allowed queries until at most one is left, with no
+    call per one-query test.  The one-query test itself runs only at the
+    top, for size 1 and the read-off's last position.
 
     The test runs for cardinalities 1..cap.  At the first that passes, the
     witness is built position by position, each time taking the smallest
@@ -151,32 +225,8 @@ def _min_separating_subset(split: np.ndarray, cap: int) -> tuple[int, tuple[int,
     covers, supports = _scarcest_first(split[useful])
     full = (1 << split.shape[1]) - 1
     everything = (1 << len(useful)) - 1
-
-    def cover(uncovered: int, allowed: int, left: int) -> int | None:
-        """At most ``left`` queries from ``allowed`` that separate every
-        uncovered pair, as a bitmask of query positions, or None."""
-        if not uncovered:
-            return 0
-        if left == 1:
-            while uncovered:
-                low = uncovered & -uncovered
-                allowed &= supports[low.bit_length() - 1]
-                if not allowed:
-                    return None
-                uncovered ^= low
-            return allowed & -allowed
-        if not left:
-            return None
-        low = uncovered & -uncovered
-        branch = supports[low.bit_length() - 1] & allowed
-        while branch:
-            q = branch & -branch
-            branch ^= q
-            allowed ^= q
-            rest = cover(uncovered & ~covers[q.bit_length() - 1], allowed, left - 1)
-            if rest is not None:
-                return rest | q
-        return None
+    missed = [full ^ c for c in covers]
+    cover = _cover_test(supports, missed)
 
     for k in range(1, min(cap, len(useful)) + 1):
         known = cover(full, everything, k)
@@ -190,14 +240,14 @@ def _min_separating_subset(split: np.ndarray, cap: int) -> tuple[int, tuple[int,
             i += 1
             while i < known_next:
                 if uncovered & covers[i]:
-                    rest = cover(uncovered & ~covers[i], everything & ~((2 << i) - 1), left)
+                    rest = cover(uncovered & missed[i], everything & ~((2 << i) - 1), left)
                     if rest is not None:
                         known = chosen | 1 << i | rest
                         break
                 i += 1
             chosen |= 1 << i
             witness.append(useful[i])
-            uncovered &= ~covers[i]
+            uncovered &= missed[i]
         return k, tuple(witness)
     return None
 
@@ -235,8 +285,8 @@ def md_exact(g: Graph, cap: int | None = None) -> tuple[int, QuerySet]:
     witness is then read off position by position.  The tests below the
     metric dimension dominate the cost, which still grows steeply with n:
     on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4; medians of 9 calls), the
-    three G(32, 0.3) graphs of perfbench's exact-small pool take 5.4-5.8
-    ms, and three G(40, 0.3) graphs sampled the same way 74-145 ms.
+    three G(32, 0.3) graphs of perfbench's exact-small pool take 5.6-6.0
+    ms, and three G(40, 0.3) graphs sampled the same way 71-131 ms.
     ``cap`` (None or >= 0) limits the sizes tested; if no resolving set
     exists within it, CapExceededError is raised.
     """

@@ -15,6 +15,7 @@ first witnesses, the same played transcripts and the same errors.
 
 from __future__ import annotations
 
+import re
 from itertools import combinations
 
 import numpy as np
@@ -43,7 +44,9 @@ from seqlocate import (
 )
 from seqlocate import game
 from seqlocate.game import _LabelGameEngine, _play_on_labels
-from seqlocate.localization import _bitsets, _min_separating_subset, _smallest_separating_set
+from seqlocate.localization import (
+    _bitsets, _cover_test, _min_separating_subset, _scarcest_first, _smallest_separating_set,
+)
 
 
 class ReferenceEngine(_LabelGameEngine):
@@ -447,7 +450,9 @@ def test_caps_agree_with_values():
 def _cap_rule_cases():
     """Each exact solver on a one-target instance (value 0) and on one of
     value 2: C_6 for the graph solvers, a 3x4 matrix for the matrix ones.
-    The caps are -1, 0, the value - 1, the value and the targets + 1."""
+    The caps are -1, 0, the value - 1, the value and the targets + 1, a
+    numpy integer, and caps that are not integers (a float, even 2.0, a
+    bool or a string); a string expected is a ValueError's message."""
     four_columns = np.array([[0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 1, 0]], dtype=np.uint8)
     families = [
         ((md_exact, smd_exact, smd_maxgain_worstcase), Graph(1, []), cycle_graph(6), 6),
@@ -459,24 +464,28 @@ def _cap_rule_cases():
         ),
     ]
     for solvers, one_target, value_two, targets in families:
-        one_target_caps = [(-1, ValueError), (0, 0), (2, 0)]
+        one_target_caps = [(-1, "cap must be >= 0, got -1"), (0, 0), (2, 0)]
         value_two_caps = [
-            (-1, ValueError), (0, CapExceededError), (1, CapExceededError), (2, 2), (targets + 1, 2)
-        ]
+            (-1, "cap must be >= 0, got -1"), (0, CapExceededError), (1, CapExceededError), (2, 2),
+            (targets + 1, 2), (np.int64(2), 2),
+        ] + [(cap, f"cap must be an integer, got {cap!r}") for cap in (2.0, 2.5, True, False, "2", np.float64(2.0))]
         for solver in solvers:
             name = solver.__name__
             for cap, expected in one_target_caps:
-                yield pytest.param(solver, one_target, cap, expected, id=f"{name}-one-target-cap{cap}")
+                yield pytest.param(solver, one_target, cap, expected, id=f"{name}-one-target-cap{cap!r}")
             for cap, expected in value_two_caps:
-                yield pytest.param(solver, value_two, cap, expected, id=f"{name}-value-2-cap{cap}")
+                yield pytest.param(solver, value_two, cap, expected, id=f"{name}-value-2-cap{cap!r}")
 
 
 @pytest.mark.parametrize("solver, instance, cap, expected", list(_cap_rule_cases()))
 def test_cap_rule(solver, instance, cap, expected):
-    """One cap rule for all six exact solvers: a negative cap is a
-    ValueError, an answer above the cap a CapExceededError, and any cap at
-    or above the answer returns it."""
-    if isinstance(expected, type):
+    """One cap rule for all six exact solvers: a negative cap or one that
+    is not an integer is a ValueError naming it, an answer above the cap a
+    CapExceededError, and any cap at or above the answer returns it."""
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            solver(instance, cap=cap)
+    elif isinstance(expected, type):
         with pytest.raises(expected):
             solver(instance, cap=cap)
     else:
@@ -576,6 +585,151 @@ def test_subset_search_small_cases(masks, full, cap, expected):
     later siblings."""
     assert index_order_min_separating_subset(masks, full, cap) == expected
     assert _search(masks, full, cap) == expected
+
+
+def recursive_cover_test(covers: list[int], supports: list[int]):
+    """The decision test before its last two levels were merged: a node
+    with two queries left made one call per branch query to the one-query
+    test, which ANDs the supports of every uncovered pair."""
+
+    def cover(uncovered: int, allowed: int, left: int) -> int | None:
+        if not uncovered:
+            return 0
+        if left == 1:
+            while uncovered:
+                low = uncovered & -uncovered
+                allowed &= supports[low.bit_length() - 1]
+                if not allowed:
+                    return None
+                uncovered ^= low
+            return allowed & -allowed
+        if not left:
+            return None
+        low = uncovered & -uncovered
+        branch = supports[low.bit_length() - 1] & allowed
+        while branch:
+            q = branch & -branch
+            branch ^= q
+            allowed ^= q
+            rest = cover(uncovered & ~covers[q.bit_length() - 1], allowed, left - 1)
+            if rest is not None:
+                return rest | q
+        return None
+
+    return cover
+
+
+def _both_cover_tests(masks: list[int], full: int):
+    """The merged decision test and ``recursive_cover_test`` on the same
+    hitting-set form of the pair masks."""
+    covers, supports = _scarcest_first(_pair_table(masks, full))
+    return _cover_test(supports, [full ^ c for c in covers]), recursive_cover_test(covers, supports)
+
+
+# Hand-made tables for the merged two-query level, each with its size and
+# witness.  The comments name what the two-query test meets at the root of
+# the search (or, where marked, in the witness read-off).
+MERGED_LEVEL_CASES = [
+    # Size 2, so the two-query test is the root: the one query left after
+    # the branch query separates the rest and passes.
+    pytest.param([0b10, 0b01], 0b11, (2, (0, 1)), id="single-candidate-passes"),
+    pytest.param([0b0010, 0b1011, 0b1101, 0b0101], 0b1111, (2, (0, 2)), id="single-candidate-passes-4-pairs"),
+    # The first branch leaves one candidate that misses a pair of the rest;
+    # the second branch reads every pair with several candidates left.
+    pytest.param([0b0110, 0b0001, 0b1011, 0b1100], 0b1111, (2, (0, 2)), id="single-candidate-fails"),
+    # The first branch's AND goes from two candidates to none at once.
+    pytest.param([0b001, 0b010, 0b100, 0b010, 0b101], 0b111, (2, (1, 4)), id="no-candidate-left"),
+    pytest.param([0b0111, 0b1010, 0b1001], 0b1111, (2, (0, 1)), id="several-candidates-pass"),
+    # Size 3: the root of test 2 fails on a single candidate, and test 3
+    # passes one level down.
+    pytest.param([0b100, 0b001, 0b010], 0b111, (3, (0, 1, 2)), id="single-candidate-fails-size-3"),
+    # Size 3: the read-off's two-query test for a first position of query 0
+    # fails, so the witness starts at query 1.
+    pytest.param([0b0100, 0b0101, 0b0110, 0b1000], 0b1111, (3, (1, 2, 3)), id="read-off-fails"),
+    # Pair 1 is separated by no query: it comes first and every test fails.
+    pytest.param([0b01, 0b01], 0b11, None, id="unseparable-pair"),
+    pytest.param([0b011, 0b001, 0b011], 0b111, None, id="unseparable-pair-3"),
+]
+
+
+@pytest.mark.parametrize("masks, full, expected", MERGED_LEVEL_CASES)
+def test_merged_level_small_cases(masks, full, expected):
+    """Each hand-made table gives the reference size and witness with
+    every query allowed, with a cap at the size, and none with a cap one
+    below it."""
+    n = len(masks)
+    assert reference_min_separating_subset(masks, full, n) == expected
+    assert _search(masks, full, n) == expected
+    if expected is not None:
+        size = expected[0]
+        assert _search(masks, full, size) == expected
+        assert _search(masks, full, size - 1) is None
+        assert reference_min_separating_subset(masks, full, size - 1) is None
+
+
+def test_one_query_alone_empties_the_rest():
+    """At a node with two queries left, a branch query that separates every
+    uncovered pair passes alone.  The size search never meets this (a
+    smaller cover would have passed the test before), so the decision test
+    is called directly: the scarcest pair is pair 1, separated only by
+    query 0, which separates both pairs."""
+    masks, full = [0b11, 0b01, 0b10], 0b11
+    merged, recursive = _both_cover_tests(masks, full)
+    assert merged(full, 0b111, 2) == recursive(full, 0b111, 2) == 0b001
+    assert merged(0b01, 0b110, 2) == recursive(0b01, 0b110, 2) == 0b010
+    assert _search(masks, full, 3) == reference_min_separating_subset(masks, full, 3) == (1, (0,))
+
+
+def _random_pair_tables(count: int):
+    """Seeded random pair masks: 1-10 queries, 1-40 pairs, each query
+    separating each pair with its own table's probability."""
+    rng = np.random.default_rng(20_351)
+    for _ in range(count):
+        n_queries, n_pairs = int(rng.integers(1, 11)), int(rng.integers(1, 41))
+        split = rng.random((n_queries, n_pairs)) < rng.uniform(0.1, 0.9)
+        yield [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in split], (1 << n_pairs) - 1
+
+
+def test_merged_level_matches_recursive_test_on_random_tables():
+    """The merged decision test returns the same cover mask (or None) as
+    the recursive one for random uncovered pairs, allowed queries and 0-3
+    queries left; and the search gives the reference size and witness,
+    with caps at the size and one below."""
+    rng = np.random.default_rng(7)
+    sizes = set()
+    for masks, full in _random_pair_tables(300):
+        n = len(masks)
+        merged, recursive = _both_cover_tests(masks, full)
+        for _ in range(10):
+            uncovered = int(rng.integers(0, full + 1))
+            allowed = int(rng.integers(0, 1 << n))
+            for left in range(4):
+                assert merged(uncovered, allowed, left) == recursive(uncovered, allowed, left)
+        expected = reference_min_separating_subset(masks, full, n)
+        assert _search(masks, full, n) == expected
+        if expected is not None:
+            sizes.add(expected[0])
+            assert _search(masks, full, expected[0]) == expected
+            assert _search(masks, full, expected[0] - 1) is None
+    assert {1, 2, 3, 4} <= sizes
+
+
+def wheel_graph(spokes: int) -> Graph:
+    """W_spokes: node 0 joined to every node of the cycle 1..spokes."""
+    rim = [(i, i % spokes + 1) for i in range(1, spokes + 1)]
+    return Graph(spokes + 1, [(0, i) for i in range(1, spokes + 1)] + rim)
+
+
+@pytest.mark.parametrize("spokes", range(10, 21))
+def test_wheels_match_index_order_search(spokes):
+    """Wheels have smallest resolving sets of 4 to 8 rim nodes that the
+    read-off must tell apart from sets holding the hub."""
+    labels = distance_matrix(wheel_graph(spokes)).d
+    masks, full = reference_pair_masks(labels)
+    expected = index_order_min_separating_subset(masks, full, labels.shape[0])
+    assert _search(masks, full, labels.shape[0]) == expected
+    size, witness = md_exact(wheel_graph(spokes))
+    assert (size, witness.nodes) == expected
 
 
 @pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 128, 129])

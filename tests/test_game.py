@@ -351,8 +351,12 @@ def _matrix_game(p1, p2, step_cap=None):
         (0, True, None, "^fixed-sequence node out of range$"),
         (0, False, 0, "^step cap must be >= 1, got 0$"),
         (0, False, -3, "^step cap must be >= 1, got -3$"),
+        (0, False, 2.5, "^step cap must be an integer, got 2.5$"),
+        (0, False, 2.0, r"^step cap must be an integer, got 2\.0$"),
+        (0, False, True, "^step cap must be an integer, got True$"),
+        (0, False, "2", "^step cap must be an integer, got '2'$"),
     ],
-    ids=["target", "sequence", "cap-0", "cap-negative"],
+    ids=["target", "sequence", "cap-0", "cap-negative", "cap-fraction", "cap-float", "cap-bool", "cap-string"],
 )
 def test_play_rejects_out_of_range_policy_and_cap(play, queries, target, past_end, step_cap, message):
     """The graph game and the matrix game share one set of play checks; a
@@ -360,6 +364,17 @@ def test_play_rejects_out_of_range_policy_and_cap(play, queries, target, past_en
     p1 = Player1Policy.fixed_sequence((0, queries)) if past_end else Player1Policy.max_gain()
     with pytest.raises(ValueError, match=message):
         play(p1, AdversaryPolicy.fixed_target(target), step_cap)
+
+
+@pytest.mark.parametrize("play", [_graph_game, _matrix_game], ids=["graph", "matrix"])
+def test_play_takes_a_numpy_integer_step_cap(play):
+    """A numpy integer step cap plays the same steps as the Python int."""
+    p1, p2 = Player1Policy.max_gain(), AdversaryPolicy.greedy_max_cell()
+    expected = play(p1, p2, 1)
+    played = play(p1, p2, np.int64(1))
+    assert len(played.steps) == len(expected.steps) == 1
+    assert played.steps == expected.steps
+    assert played.final_candidates.tolist() == expected.final_candidates.tolist()
 
 
 class TestGameValues:
